@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"qpiad/internal/relation"
-	"qpiad/internal/source"
 )
 
 // InclusionRule selects how a rewritten query's aggregate contribution is
@@ -66,8 +64,9 @@ type AggAnswer struct {
 	// Included are the rewritten queries whose results were combined.
 	Included []RewrittenQuery
 	// Failed are rewritten queries that were selected for inclusion but
-	// could not be fetched (after retries) or were skipped on budget
-	// exhaustion; each carries its Err and Attempts.
+	// could not be fetched (after retries) or were skipped after budget
+	// exhaustion or an open-circuit rejection; each carries its Err and
+	// Attempts.
 	Failed []RewrittenQuery
 	// Degraded reports that Failed is non-empty: the possible contribution
 	// underestimates what a fully reliable source would have yielded.
@@ -104,12 +103,9 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 	if q.Agg == nil {
 		return nil, fmt.Errorf("core: QueryAggregate needs an aggregate query")
 	}
-	src, k, ok := m.lookup(srcName)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %q", srcName)
-	}
-	if k == nil {
-		return nil, fmt.Errorf("core: no knowledge mined for source %q", srcName)
+	src, k, err := m.lookupKnown(srcName)
+	if err != nil {
+		return nil, err
 	}
 	agg := *q.Agg
 	if agg.Attr != "" && !src.Schema().Has(agg.Attr) {
@@ -131,39 +127,35 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 
 	if opts.IncludePossible {
 		cands := m.generateRewrites(k, q, base, src.Schema())
-		chosen := scoreAndSelectWith(cfg, cands)
+		var included []RewrittenQuery
+		var weights []float64
+		var queries []relation.Query
+		for _, rq := range scoreAndSelectWith(cfg, cands) {
+			if include, weight := m.shouldInclude(rq, opts.Rule); include {
+				included = append(included, rq)
+				weights = append(weights, weight)
+				queries = append(queries, rq.Query)
+			}
+		}
+		results := startFetch(ctx, src, queries, cfg.Parallel, cfg.Retry, nil, nil).wait()
 		seen := make(map[string]bool, len(base))
 		for _, t := range base {
 			seen[t.Key()] = true
 		}
-		budgetOut := false
-		for _, rq := range chosen {
-			include, weight := m.shouldInclude(rq, opts.Rule)
-			if !include {
-				continue
-			}
-			if budgetOut {
-				rq.Err = errSkippedBudget
+		for i, rq := range included {
+			rq.Attempts = results[i].attempts
+			if err := results[i].err; err != nil {
+				rq.Err = err
 				out.Failed = append(out.Failed, rq)
 				out.Degraded = true
 				continue
 			}
-			fres := fetchOne(ctx, src, rq.Query, cfg.Retry)
-			rq.Attempts = fres.attempts
-			if fres.err != nil {
-				rq.Err = fres.err
-				out.Failed = append(out.Failed, rq)
-				out.Degraded = true
-				budgetOut = errors.Is(fres.err, source.ErrQueryBudget)
-				continue
-			}
-			rows := fres.rows
 			tcol, ok := src.Schema().Index(rq.TargetAttr)
 			if !ok {
 				continue
 			}
 			var contrib []relation.Tuple
-			for _, t := range rows {
+			for _, t := range results[i].rows {
 				if !t[tcol].IsNull() {
 					continue
 				}
@@ -181,7 +173,7 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 			if err != nil {
 				continue
 			}
-			out.Possible += weight * val
+			out.Possible += weights[i] * val
 			out.PossibleRows += n
 			out.Included = append(out.Included, rq)
 		}

@@ -68,7 +68,7 @@ func TestFetchAllOpenSkip(t *testing.T) {
 		for i := range queries {
 			queries[i] = relation.NewQuery("cars", relation.Eq("model", relation.String("Z4")))
 		}
-		results := fetchAll(context.Background(), f.src, queries, parallel, fastRetry(1))
+		results := startFetch(context.Background(), f.src, queries, parallel, fastRetry(1), nil, nil).wait()
 		for i, res := range results {
 			if !errors.Is(res.err, breaker.ErrOpen) {
 				t.Fatalf("parallel=%d: result %d err = %v, want ErrOpen", parallel, i, res.err)
@@ -122,6 +122,37 @@ func TestSelectOpenCircuitAccounting(t *testing.T) {
 	}
 	if st := f.src.Breaker().State(); st != breaker.StateOpen {
 		t.Errorf("breaker state = %v, want open", st)
+	}
+}
+
+// TestAggregateOpenCircuitAccounting verifies the aggregate pipeline stops
+// its plan at the first open-circuit rejection like select does: exactly
+// one query reaches the open breaker, and every included rewrite after the
+// one whose transient failure tripped the circuit is classified with
+// breaker.ErrOpen.
+func TestAggregateOpenCircuitAccounting(t *testing.T) {
+	cfg := Config{Alpha: 1, K: 10, Retry: fastRetry(1), NoCache: true,
+		Breaker: &breaker.Config{Window: 8, MinSamples: 1, ConsecutiveFailures: 1, OpenTimeout: time.Hour}}
+	f := faultyFixture(t, cfg, faults.Profile{FlapUp: 1, FlapDown: 1 << 30})
+	q := convtQuery()
+	q.Agg = &relation.Aggregate{Func: relation.AggCount}
+	ans, err := f.m.QueryAggregate("cars", q, AggOptions{IncludePossible: true, Rule: RuleFractional})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.src.Stats().BreakerRejected; got != 1 {
+		t.Errorf("BreakerRejected = %d, want 1 (rest skipped plan-side)", got)
+	}
+	if len(ans.Failed) < 2 {
+		t.Fatalf("want the tripping failure plus open-circuit failures, got %d failed", len(ans.Failed))
+	}
+	if err := ans.Failed[0].Err; !faults.Retryable(err) {
+		t.Errorf("first failed rewrite: err = %v, want the transient fault that trips the circuit", err)
+	}
+	for _, rq := range ans.Failed[1:] {
+		if !errors.Is(rq.Err, breaker.ErrOpen) {
+			t.Errorf("failed rewrite %s: err = %v, want ErrOpen", rq.Query, rq.Err)
+		}
 	}
 }
 

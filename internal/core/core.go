@@ -436,6 +436,19 @@ func (m *Mediator) lookup(name string) (*source.Source, *Knowledge, bool) {
 	return src, m.knowledge[name], ok
 }
 
+// lookupKnown is lookup for the pipelines that rewrite queries: it fails
+// when the source is unknown or has no mined knowledge.
+func (m *Mediator) lookupKnown(name string) (*source.Source, *Knowledge, error) {
+	src, k, ok := m.lookup(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("core: unknown source %q", name)
+	}
+	if k == nil {
+		return nil, nil, fmt.Errorf("core: no knowledge mined for source %q", name)
+	}
+	return src, k, nil
+}
+
 // StaleServed returns the number of answers served by the stale-cache
 // fallback since the mediator was built.
 func (m *Mediator) StaleServed() int64 { return m.staleServed.Load() }

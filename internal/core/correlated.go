@@ -138,7 +138,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 	for i, rq := range chosen {
 		issueQs[i] = rq.Query
 	}
-	results := fetchAll(ctx, sk, issueQs, m.cfg.Parallel, m.cfg.Retry)
+	results := startFetch(ctx, sk, issueQs, m.cfg.Parallel, m.cfg.Retry, nil, nil).wait()
 	seen := make(map[string]bool)
 	for i, rq := range chosen {
 		rq.Attempts = results[i].attempts

@@ -88,7 +88,7 @@ func TestFetchAllParallelCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	results := fetchAll(ctx, src, queries, 4, slowRetry())
+	results := startFetch(ctx, src, queries, 4, slowRetry(), nil, nil).wait()
 	elapsed := time.Since(start)
 	for i, res := range results {
 		if res.err == nil {

@@ -175,15 +175,51 @@ func TestChainJoinOrdering(t *testing.T) {
 	}
 }
 
+// TestChainJoinTwoWayDegenerate relates a 2-source chain to the pairwise
+// join over the same selections. The chain may return more: it retrieves
+// the union of each side's selected component queries and joins those
+// answer sets wholesale, while QueryJoin joins only the selected query
+// pairs. So every pairwise answer must appear in the chain with the same
+// Confidence and Certain flag, and the chain may add pairs the top-K pair
+// budget left out.
 func TestChainJoinTwoWayDegenerate(t *testing.T) {
-	// A 2-source chain must behave like the pairwise join path.
 	f := newChainFixture(t)
-	res, err := f.m.QueryJoinChain(pairChainSpec(0.5, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Answers) == 0 {
-		t.Fatal("no answers for 2-source chain")
+	for _, tc := range []struct {
+		alpha float64
+		k     int
+	}{{0, 4}, {0.5, 8}, {2, 10}, {0.5, 2}} {
+		spec := pairChainSpec(tc.alpha, tc.k)
+		chain, err := f.m.QueryJoinChain(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, err := f.m.QueryJoin(JoinSpec{
+			LeftSource: spec.Sources[0], RightSource: spec.Sources[1],
+			LeftQuery: spec.Queries[0], RightQuery: spec.Queries[1],
+			LeftJoinAttr: spec.JoinAttrs[0][0], RightJoinAttr: spec.JoinAttrs[0][1],
+			Alpha: tc.alpha, K: tc.k,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pair.Answers) == 0 {
+			t.Fatalf("α=%v K=%d: no pairwise answers", tc.alpha, tc.k)
+		}
+		inChain := make(map[string]ChainAnswer, len(chain.Answers))
+		for _, a := range chain.Answers {
+			inChain[a.Tuples[0].Key()+"\x00"+a.Tuples[1].Key()] = a
+		}
+		for _, a := range pair.Answers {
+			c, ok := inChain[a.Left.Key()+"\x00"+a.Right.Key()]
+			if !ok {
+				t.Fatalf("α=%v K=%d: pairwise answer missing from the chain: %v ⋈ %v", tc.alpha, tc.k, a.Left, a.Right)
+			}
+			if c.Confidence != a.Confidence || c.Certain != a.Certain {
+				t.Fatalf("α=%v K=%d: chain answer (conf %v, certain %v) differs from pairwise (conf %v, certain %v)",
+					tc.alpha, tc.k, c.Confidence, c.Certain, a.Confidence, a.Certain)
+			}
+		}
+		t.Logf("α=%v K=%d: pairwise %d ⊆ chain %d", tc.alpha, tc.k, len(pair.Answers), len(chain.Answers))
 	}
 }
 

@@ -289,21 +289,37 @@ func hedgedQuery(ctx context.Context, src queryable, q relation.Query, br *break
 	}
 }
 
-// fetchAll issues the queries against the source, at most parallel at a
-// time (sequential when parallel <= 1), each under the retry policy and
-// the caller's context — cancelling ctx stops in-flight attempts and
-// retry backoffs promptly.
-// Results are positional so callers process them in the original precision
-// order regardless of completion order.
+// fetchRun is one plan's fan-out through the mediator's only fetch pool.
+// Every pipeline that issues a list of rewrites — batch and streaming
+// select, aggregate, correlated select — goes through it: batch callers
+// take the positional results with wait, the streaming executor takes each
+// one with result as soon as it resolves and may stop admission mid-run.
+type fetchRun struct {
+	results []fetchResult
+	ready   []chan struct{}
+	wg      sync.WaitGroup
+	stop    atomic.Bool
+	cancel  context.CancelFunc
+}
+
+// startFetch issues the queries against the source, at most parallel at a
+// time, each under the retry policy and a context derived from ctx —
+// cancelling ctx (or calling stopIssuing) stops in-flight attempts and
+// retry backoffs promptly. Results are positional so callers process them
+// in the original precision order regardless of completion order.
+//
+// Ordered admission: query i waits for query i-1 to be either admitted by
+// the source (budget consumed, via source.WithAdmitSignal) or finished
+// before it competes for one of max(parallel, 1) slots. Execution overlaps
+// up to the slot count while budget consumption stays in index order. With
+// one slot the pool is strictly sequential: query i gets the slot only
+// after query i-1 releases it, and i-1 records its budget and open-circuit
+// outcome before releasing.
 //
 // Budget-aware early stop: once the source reports ErrQueryBudget, the
-// remaining queries are not issued at all — they resolve to a skip error
-// (errors.Is(err, source.ErrQueryBudget)) without touching the source, so
-// the Rejected counter reflects exactly one refusal. In the parallel path
-// budget consumption is made deterministic by admitting queries in index
-// order: each query waits for its predecessor to be either admitted
-// (budget consumed, via source.WithAdmitSignal) or finished, while
-// execution itself still overlaps up to the parallelism bound.
+// remaining queries are not issued at all — they resolve to
+// errSkippedBudget without touching the source, so the Rejected counter
+// reflects exactly one refusal.
 //
 // Breaker-aware early stop mirrors the budget behavior: once the source's
 // circuit breaker rejects a query (breaker.ErrOpen), the remaining queries
@@ -311,50 +327,23 @@ func hedgedQuery(ctx context.Context, src queryable, q relation.Query, br *break
 // enough evidence — hammering an open circuit with the rest of the top-K
 // would only inflate BreakerRejected without retrieving anything.
 //
+// Each fetch holds a cross-query scheduler slot (admitted by priority
+// against concurrent plans) for its duration; pris are positional
+// priorities, nil meaning zero, and a nil sched disables that. The
+// scheduler composes with — it does not replace — the plan-local admission
+// order. Skipped queries never touch the scheduler.
+//
 // Note: when retries race with successors' admissions (faults + budget +
 // parallel combined), which attempt consumes the last budget slot is
 // scheduling-dependent; fault decisions themselves stay deterministic.
-func fetchAll(ctx context.Context, src queryable, queries []relation.Query, parallel int, pol RetryPolicy) []fetchResult {
-	return fetchAllSched(ctx, src, queries, parallel, pol, nil, nil)
-}
-
-// fetchAllSched is fetchAll with every fetch admitted through the
-// cross-query scheduler (nil sched degrades to plain fetchAll). pris are
-// positional priorities for the queries; nil means priority zero. The
-// scheduler composes with — it does not replace — the plan-local admission
-// order: gates still serialize budget consumption in index order within
-// this plan, while the scheduler arbitrates between concurrent plans.
-func fetchAllSched(ctx context.Context, src queryable, queries []relation.Query, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) []fetchResult {
-	pri := func(i int) float64 {
-		if i < len(pris) {
-			return pris[i]
-		}
-		return 0
+func startFetch(ctx context.Context, src queryable, queries []relation.Query, parallel int, pol RetryPolicy, sched *planner.Scheduler, pris []float64) *fetchRun {
+	ctx, cancel := context.WithCancel(ctx)
+	f := &fetchRun{
+		results: make([]fetchResult, len(queries)),
+		ready:   make([]chan struct{}, len(queries)),
+		cancel:  cancel,
 	}
-	results := make([]fetchResult, len(queries))
-	if parallel <= 1 || len(queries) <= 1 {
-		budgetOut, openOut := false, false
-		for i, q := range queries {
-			switch {
-			case openOut:
-				results[i] = fetchResult{err: errSkippedOpen}
-				continue
-			case budgetOut:
-				results[i] = fetchResult{err: errSkippedBudget}
-				continue
-			}
-			results[i] = fetchOneSched(ctx, src, q, pol, sched, pri(i))
-			if errors.Is(results[i].err, source.ErrQueryBudget) {
-				budgetOut = true
-			}
-			if errors.Is(results[i].err, breaker.ErrOpen) {
-				openOut = true
-			}
-		}
-		return results
-	}
-
-	sem := make(chan struct{}, parallel)
+	sem := make(chan struct{}, max(parallel, 1))
 	// gates[i] opens when query i-1 has been admitted or has finished;
 	// gates[0] is open from the start.
 	gates := make([]chan struct{}, len(queries)+1)
@@ -363,37 +352,65 @@ func fetchAllSched(ctx context.Context, src queryable, queries []relation.Query,
 	}
 	close(gates[0])
 	var budgetOut, openOut atomic.Bool
-	var wg sync.WaitGroup
 	for i, q := range queries {
-		wg.Add(1)
+		f.ready[i] = make(chan struct{})
+		pri := 0.0
+		if i < len(pris) {
+			pri = pris[i]
+		}
+		f.wg.Add(1)
 		go func(i int, q relation.Query) {
-			defer wg.Done()
+			defer f.wg.Done()
+			defer close(f.ready[i])
 			var once sync.Once
 			open := func() { once.Do(func() { close(gates[i+1]) }) }
-			defer open() // rejected/finished queries release the successor too
+			defer open() // skipped/finished queries release the successor too
 			// Gate first, semaphore second: a semaphore holder is always
 			// executing (never gate-waiting), so the chain cannot deadlock.
 			<-gates[i]
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if openOut.Load() {
-				results[i] = fetchResult{err: errSkippedOpen}
-				return
-			}
-			if budgetOut.Load() {
-				results[i] = fetchResult{err: errSkippedBudget}
-				return
-			}
-			qctx := source.WithAdmitSignal(ctx, open)
-			results[i] = fetchOneSched(qctx, src, q, pol, sched, pri(i))
-			if errors.Is(results[i].err, source.ErrQueryBudget) {
-				budgetOut.Store(true)
-			}
-			if errors.Is(results[i].err, breaker.ErrOpen) {
-				openOut.Store(true)
+			switch {
+			case f.stop.Load():
+				f.results[i] = fetchResult{err: ErrEarlyStop}
+			case openOut.Load():
+				f.results[i] = fetchResult{err: errSkippedOpen}
+			case budgetOut.Load():
+				f.results[i] = fetchResult{err: errSkippedBudget}
+			default:
+				qctx := source.WithAdmitSignal(ctx, open)
+				f.results[i] = fetchOneSched(qctx, src, q, pol, sched, pri)
+				if errors.Is(f.results[i].err, source.ErrQueryBudget) {
+					budgetOut.Store(true)
+				}
+				if errors.Is(f.results[i].err, breaker.ErrOpen) {
+					openOut.Store(true)
+				}
 			}
 		}(i, q)
 	}
-	wg.Wait()
-	return results
+	return f
+}
+
+// result blocks until query i has resolved (completed, failed, or been
+// skipped) and returns its outcome.
+func (f *fetchRun) result(i int) fetchResult {
+	<-f.ready[i]
+	return f.results[i]
+}
+
+// stopIssuing prevents any not-yet-admitted query from being sent (it will
+// resolve with ErrEarlyStop) and cancels the context governing in-flight
+// fetches.
+func (f *fetchRun) stopIssuing() {
+	f.stop.Store(true)
+	f.cancel()
+}
+
+// wait blocks until every query has resolved, releases the run's context,
+// and returns the positional results.
+func (f *fetchRun) wait() []fetchResult {
+	f.wg.Wait()
+	f.cancel()
+	return f.results
 }

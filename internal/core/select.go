@@ -133,22 +133,40 @@ func (rs *ResultSet) clone() *ResultSet {
 
 // querySelectUncached runs the full selection pipeline against the source.
 func (m *Mediator) querySelectUncached(ctx context.Context, cfg Config, srcName string, q relation.Query) (*ResultSet, error) {
-	src, k, ok := m.lookup(srcName)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %q", srcName)
+	src, k, err := m.lookupKnown(srcName)
+	if err != nil {
+		return nil, err
 	}
-	if k == nil {
-		return nil, fmt.Errorf("core: no knowledge mined for source %q", srcName)
-	}
-
 	// Step 1: certain answers. The base query is retried like any other;
 	// without it there is nothing to rewrite from, so failure is fatal.
 	bres := fetchOne(ctx, src, q, cfg.Retry)
 	if bres.err != nil {
 		return nil, fmt.Errorf("core: base query: %w", bres.err)
 	}
-	base := bres.rows
-	rs := &ResultSet{Query: q, Source: srcName}
+	// The top-N bound is a streaming feature: a batch result is complete.
+	cfg.TopN = 0
+	return m.runSelect(ctx, cfg, src, k, q, bres.rows, nil).Result, nil
+}
+
+// runSelect is the selection pipeline after the base query, shared by the
+// batch and streaming executors: certain answers from base, rewrite
+// generation and F-measure top-K (Step 2a–c), one fetch run in precision
+// order, and the fold with post-filter and dedup (Step 2d–e). A non-nil
+// emit receives every answer as it is folded, in final rank order, and one
+// StreamRewrite event per chosen rewrite; the batch path passes nil and
+// builds no events.
+//
+// cfg.TopN > 0 arms the confidence-bound early stop (see stream.go): once
+// TopN possible answers are folded, the remaining rewrites are skipped or
+// cancelled and accounted in the summary instead of folded.
+func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source, k *Knowledge, q relation.Query, base []relation.Tuple, emit func(StreamEvent)) *StreamSummary {
+	emitAnswers := func(answers []Answer, unranked bool) {
+		for i := range answers {
+			a := answers[i]
+			emit(StreamEvent{Kind: StreamEventAnswer, Answer: &a, Unranked: unranked})
+		}
+	}
+	rs := &ResultSet{Query: q, Source: src.Name()}
 	for _, t := range base {
 		rs.Certain = append(rs.Certain, Answer{
 			Tuple:      t,
@@ -156,6 +174,11 @@ func (m *Mediator) querySelectUncached(ctx context.Context, cfg Config, srcName 
 			Confidence: 1,
 			FromQuery:  q,
 		})
+	}
+	// Certain answers go out before any rewriting (NBC inference, scoring)
+	// happens: time-to-first-answer is one source round-trip.
+	if emit != nil {
+		emitAnswers(rs.Certain, false)
 	}
 
 	// Step 2(a): generate; 2(b)+(c): order and select.
@@ -169,13 +192,50 @@ func (m *Mediator) querySelectUncached(ctx context.Context, cfg Config, srcName 
 		seen[t.Key()] = true
 	}
 	constrained := q.ConstrainedAttrs()
-	issueQs := issueQueries(src, chosen)
-	results := fetchAllSched(ctx, src, issueQs, cfg.Parallel, cfg.Retry,
+	fetch := startFetch(ctx, src, issueQueries(src, chosen), cfg.Parallel, cfg.Retry,
 		cfg.Planner.Sched(), rewritePriorities(chosen))
-	for i, rq := range chosen {
-		foldRewriteResult(rs, src.Schema(), constrained, seen, rq, results[i])
+	sum := &StreamSummary{Result: rs}
+	for i := range chosen {
+		res := fetch.result(i)
+		if sum.EarlyStopped {
+			// The bound tripped at an earlier rewrite: account this one as
+			// saved (never issued) or cancelled (already in flight), and
+			// fold nothing — folding completed stragglers would make the
+			// answer set depend on cancellation timing.
+			rq := chosen[i]
+			rq.Attempts = res.attempts
+			rq.Transferred = len(res.rows)
+			rq.Err = ErrEarlyStop
+			if res.attempts == 0 {
+				sum.SkippedRewrites++
+				sum.EstSavedTuples += rq.EstSel
+			} else {
+				sum.CancelledRewrites++
+			}
+			rs.Issued = append(rs.Issued, rq)
+		} else {
+			possible, unranked := foldRewriteResult(rs, src.Schema(), constrained, seen, chosen[i], res)
+			if emit != nil {
+				emitAnswers(possible, false)
+				emitAnswers(unranked, true)
+			}
+			// The admissible bound: rewrites are processed in descending
+			// estimated precision, so once TopN possible answers are out, no
+			// later rewrite can place an answer above them. The stop
+			// decision depends only on fold order, never on completion
+			// timing, so the emitted answer set is deterministic.
+			if cfg.TopN > 0 && len(rs.Possible) >= cfg.TopN && i < len(chosen)-1 {
+				sum.EarlyStopped = true
+				fetch.stopIssuing()
+			}
+		}
+		if emit != nil {
+			done := rs.Issued[len(rs.Issued)-1]
+			emit(StreamEvent{Kind: StreamEventRewrite, Rewrite: &done})
+		}
 	}
-	return rs, nil
+	fetch.wait()
+	return sum
 }
 
 // rewritePriorities maps chosen rewrites to their cross-query scheduling

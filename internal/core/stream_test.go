@@ -46,6 +46,11 @@ func TestSelectStreamEquivalence(t *testing.T) {
 		{"sequential", 1, source.Capabilities{}},
 		{"parallel", 4, source.Capabilities{}},
 		{"parallel-null-binding", 4, source.Capabilities{AllowNullBinding: true}},
+		// A budget-capped source degrades both runs the same way: the
+		// refused rewrite and the errSkippedBudget ones are accounted
+		// identically in Issued with and without events.
+		{"budget-sequential", 1, source.Capabilities{MaxQueries: 2}},
+		{"budget-parallel", 4, source.Capabilities{MaxQueries: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Alpha: 0.5, K: 10, Parallel: tc.parallel, NoCache: true}
@@ -61,6 +66,12 @@ func TestSelectStreamEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			if tc.caps.MaxQueries > 0 && !batch.Degraded {
+				t.Fatal("budget-capped batch run must be degraded")
+			}
+			// A fresh source gives the stream the same budget the batch
+			// run started with.
+			f.m.Register(source.New("cars", f.ed, tc.caps), f.k)
 			events, err := f.m.SelectStreamWith(context.Background(), cfg, "cars", q)
 			if err != nil {
 				t.Fatal(err)
