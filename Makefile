@@ -1,6 +1,6 @@
-# QPIAD build/test targets. `make tier1` is the gate CI runs: build, vet,
-# the project's own analyzers (lint), and the full test suite under the
-# race detector.
+# QPIAD build/test targets. `make tier1` is the gate CI runs: gofmt
+# cleanliness, build, vet, the project's own analyzers (lint), and the full
+# test suite under the race detector.
 
 GO ?= go
 
@@ -10,9 +10,13 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: tier1 build vet lint sarif test race bench-module vuln bench bench-json bench-planner bench-load bench-chaos clean
+.PHONY: tier1 fmt-check build vet lint sarif test race bench-module vuln bench bench-json bench-planner bench-load bench-chaos clean
 
-tier1: build vet lint race
+tier1: fmt-check build vet lint race
+
+# fmt-check fails when any Go file is not gofmt-clean, listing the files.
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 build:
 	$(GO) build ./...

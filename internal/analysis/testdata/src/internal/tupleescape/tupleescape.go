@@ -12,9 +12,9 @@ func RangeEscapes(seq relation.TupleSeq) []relation.Tuple {
 	var last relation.Tuple
 	byKey := map[string]relation.Tuple{}
 	for t := range seq {
-		out = append(out, t)  // want "stored into out"
-		last = t              // want "stored into last"
-		byKey[t.Key()] = t    // want "stored into byKey"
+		out = append(out, t)   // want "stored into out"
+		last = t               // want "stored into last"
+		byKey[t.Key()] = t     // want "stored into byKey"
 		Sink = append(Sink, t) // want "stored into Sink"
 		_ = last
 	}

@@ -166,7 +166,7 @@ func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source
 			emit(StreamEvent{Kind: StreamEventAnswer, Answer: &a, Unranked: unranked})
 		}
 	}
-	rs := &ResultSet{Query: q, Source: src.Name()}
+	rs := &ResultSet{Query: q, Source: src.Name(), Certain: make([]Answer, 0, len(base))}
 	for _, t := range base {
 		rs.Certain = append(rs.Certain, Answer{
 			Tuple:      t,
@@ -187,11 +187,17 @@ func (m *Mediator) runSelect(ctx context.Context, cfg Config, src *source.Source
 	chosen := scoreAndSelectWith(cfg, cands)
 
 	// Step 2(d)+(e): retrieve the extended result set and post-filter.
-	seen := make(map[string]bool, len(base))
-	for _, t := range base {
-		seen[t.Key()] = true
-	}
+	// A row the fold keeps is null on its rewrite's target, one of the
+	// constrained attributes, so it can equal a certain answer only if
+	// that answer is itself null on a constrained attribute (an IS NULL
+	// predicate admits one). Only those certain answers are keyed.
 	constrained := q.ConstrainedAttrs()
+	seen := make(map[string]bool)
+	for _, t := range base {
+		if t.NullCountOn(src.Schema(), constrained) > 0 {
+			seen[t.Key()] = true
+		}
+	}
 	fetch := startFetch(ctx, src, issueQueries(src, chosen), cfg.Parallel, cfg.Retry,
 		cfg.Planner.Sched(), rewritePriorities(chosen))
 	sum := &StreamSummary{Result: rs}

@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync/atomic"
@@ -217,10 +218,10 @@ func (s *Server) EndDrain() { s.draining.Store(false) }
 // live; chaos restarts and multi-instance routing key off this signal.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // admitted wraps an expensive handler with the admission gate (and, like
@@ -289,7 +290,7 @@ func (s *Server) writeShed(w http.ResponseWriter, reason shedReason) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	writeJSON(w, http.StatusTooManyRequests, shedBody{
+	s.writeJSON(w, http.StatusTooManyRequests, shedBody{
 		Error:        fmt.Sprintf("overloaded: request shed (%s)", reason),
 		Shed:         true,
 		Reason:       string(reason),
@@ -302,12 +303,21 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON writes v indented, for the endpoints whose bodies people read
+// (health, sources, knowledge, metrics, errors, aggregates); answer bodies
+// go through the wire encoder instead. v is marshalled before any header
+// goes out, so a value encoding/json refuses answers a counted 500 rather
+// than a 200 with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		s.writeErr(w, http.StatusInternalServerError, "internal error: encoding response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	//lint:allow errdrop the status is out; a failed body write means the client is gone, with nothing left to report to
+	_, _ = w.Write(append(b, '\n'))
 }
 
 // writeErr writes the uniform error payload, counting 5xx responses as
@@ -316,7 +326,7 @@ func (s *Server) writeErr(w http.ResponseWriter, code int, format string, args .
 	if code >= 500 {
 		s.serverErrors.Add(1)
 	}
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
+	s.writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // writeDisconnect records a query aborted because the client went away and
@@ -325,7 +335,7 @@ func (s *Server) writeErr(w http.ResponseWriter, code int, format string, args .
 // abort is counted as a disconnect — never as a server error.
 func (s *Server) writeDisconnect(w http.ResponseWriter) {
 	s.clientDisconnects.Add(1)
-	writeJSON(w, 499, errorBody{Error: "client closed request"})
+	s.writeJSON(w, 499, errorBody{Error: "client closed request"})
 }
 
 // sourceHealth is one source's admission state in the /healthz payload.
@@ -361,7 +371,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 		resp.Sources = append(resp.Sources, sh)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // sourceInfo describes one registered source.
@@ -395,7 +405,7 @@ func (s *Server) handleSources(w http.ResponseWriter, _ *http.Request) {
 			TuplesReturned:   st.TuplesReturned,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 // afdInfo serializes one dependency.
@@ -435,7 +445,7 @@ func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 	for _, ak := range k.AFDs.AKeys {
 		info.AKeys = append(info.AKeys, ak.String())
 	}
-	writeJSON(w, http.StatusOK, info)
+	s.writeJSON(w, http.StatusOK, info)
 }
 
 // latencyJSON summarizes a source's latency histogram.
@@ -603,7 +613,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 		out.HTTP.Endpoints = eps
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 // plannerSection snapshots the mediator's planner accounting in wire form.
@@ -634,49 +644,28 @@ type queryRequest struct {
 	TopN int `json:"top_n,omitempty"`
 }
 
-// answerJSON is one returned tuple.
-type answerJSON struct {
-	Values      map[string]any `json:"values"`
-	Certain     bool           `json:"certain"`
-	Confidence  float64        `json:"confidence"`
-	Explanation string         `json:"explanation,omitempty"`
-}
-
-// queryResponse is the /query output for selections.
-type queryResponse struct {
-	Query     string       `json:"query"`
-	Source    string       `json:"source"`
-	Certain   []answerJSON `json:"certain"`
-	Possible  []answerJSON `json:"possible"`
-	Unranked  []answerJSON `json:"unranked,omitempty"`
-	Rewrites  []string     `json:"rewrites_issued"`
-	Generated int          `json:"rewrites_generated"`
-	// Degraded reports that some rewrites failed or were skipped; the
-	// possible answers may be incomplete (failures are annotated in
-	// rewrites_issued).
-	Degraded bool `json:"degraded,omitempty"`
-	// Stale reports the answers were served from the answer cache past
-	// their freshness bound because the source's circuit was open;
-	// StaleAgeMicros is the entry's age.
-	Stale          bool  `json:"stale,omitempty"`
-	StaleAgeMicros int64 `json:"stale_age_micros,omitempty"`
-	// Planner is the mediator's planner accounting snapshot, present only
-	// when the server was built with WithExplain.
-	Planner *plannerMetrics `json:"planner,omitempty"`
-}
-
-// aggResponse is the /query output for aggregates.
+// aggResponse is the /query output for aggregates. An aggregate with no
+// defined value (AVG or MIN over no rows, MIN over a string attribute)
+// comes out NaN and is written as null.
 type aggResponse struct {
-	Query          string  `json:"query"`
-	Source         string  `json:"source"`
-	Certain        float64 `json:"certain"`
-	Possible       float64 `json:"possible"`
-	Total          float64 `json:"total"`
-	CertainRows    int     `json:"certain_rows"`
-	PossibleRows   int     `json:"possible_rows"`
-	RewritesFolded int     `json:"rewrites_folded"`
-	RewritesFailed int     `json:"rewrites_failed,omitempty"`
-	Degraded       bool    `json:"degraded,omitempty"`
+	Query          string   `json:"query"`
+	Source         string   `json:"source"`
+	Certain        *float64 `json:"certain"`
+	Possible       *float64 `json:"possible"`
+	Total          *float64 `json:"total"`
+	CertainRows    int      `json:"certain_rows"`
+	PossibleRows   int      `json:"possible_rows"`
+	RewritesFolded int      `json:"rewrites_folded"`
+	RewritesFailed int      `json:"rewrites_failed,omitempty"`
+	Degraded       bool     `json:"degraded,omitempty"`
+}
+
+// finite returns f for the wire, or nil (JSON null) when f is NaN or ±Inf.
+func finite(f float64) *float64 {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil
+	}
+	return &f
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -736,12 +725,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, aggResponse{
+		s.writeJSON(w, http.StatusOK, aggResponse{
 			Query:          st.Query.String(),
 			Source:         srcName,
-			Certain:        ans.Certain,
-			Possible:       ans.Possible,
-			Total:          ans.Total,
+			Certain:        finite(ans.Certain),
+			Possible:       finite(ans.Possible),
+			Total:          finite(ans.Total),
 			CertainRows:    ans.CertainRows,
 			PossibleRows:   ans.PossibleRows,
 			RewritesFolded: len(ans.Included),
@@ -789,43 +778,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		rs, schema = projected, ps
 	}
-	resp := queryResponse{
-		Query:          st.Query.String(),
-		Source:         srcName,
-		Certain:        toJSONAnswers(schema, rs.Certain),
-		Possible:       toJSONAnswers(schema, rs.Possible),
-		Unranked:       toJSONAnswers(schema, rs.Unranked),
-		Generated:      rs.Generated,
-		Degraded:       rs.Degraded,
-		Stale:          rs.Stale,
-		StaleAgeMicros: int64(rs.StaleAge / time.Microsecond),
-	}
+	var planner []byte
 	if s.explain {
-		pm := s.plannerSection()
-		resp.Planner = &pm
-	}
-	for _, rq := range rs.Issued {
-		if rq.Err != nil {
-			resp.Rewrites = append(resp.Rewrites, fmt.Sprintf("%s (precision %.3f, failed after %d attempts: %v)",
-				rq.Query, rq.Precision, rq.Attempts, rq.Err))
-			continue
+		if planner, err = json.Marshal(s.plannerSection()); err != nil {
+			s.writeErr(w, http.StatusInternalServerError, "encoding planner section: %v", err)
+			return
 		}
-		resp.Rewrites = append(resp.Rewrites, fmt.Sprintf("%s (precision %.3f)", rq.Query, rq.Precision))
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// streamEventJSON is one NDJSON line of a streamed query. Event is "answer",
-// "rewrite" or "summary"; exactly the matching field is set.
-type streamEventJSON struct {
-	Event    string      `json:"event"`
-	Answer   *answerJSON `json:"answer,omitempty"`
-	Unranked bool        `json:"unranked,omitempty"`
-	// Stale marks an answer replayed from the cache past its freshness
-	// bound because the source's circuit was open.
-	Stale   bool           `json:"stale,omitempty"`
-	Rewrite *rewriteJSON   `json:"rewrite,omitempty"`
-	Summary *streamSumJSON `json:"summary,omitempty"`
+	writeSelect(w, st.Query.String(), srcName, rs, schema, planner)
 }
 
 // rewriteJSON reports one chosen rewrite's outcome on the stream.
@@ -862,7 +822,15 @@ type streamSumJSON struct {
 // handleQueryStream serves POST /query?stream=1: the selection pipeline's
 // events re-encoded as NDJSON, one line per event, flushed as they happen.
 // Headers go out before the first event, so mid-stream failures are reported
-// as an error event rather than a status change.
+// as an error event rather than a status change. The lines are
+//
+//	{"event":"answer","answer":{answer},"unranked":true,"stale":true}
+//	{"event":"rewrite","rewrite":{rewriteJSON}}
+//	{"event":"summary","summary":{streamSumJSON}}
+//
+// where unranked and stale appear only when set; stale marks an answer
+// replayed from the cache past its freshness bound because the source's
+// circuit was open.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg core.Config, req queryRequest, st *sqlish.Statement, srcName string, schema *relation.Schema) {
 	// A stream emits answers in rank order as they arrive; ORDER BY and
 	// LIMIT would require the full set first, which is the batch endpoint's
@@ -910,9 +878,13 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg c
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	writeEvent := func(ev streamEventJSON) bool {
-		if err := enc.Encode(ev); err != nil {
+	e := newWire(w)
+	defer e.release()
+	c := newTupleCodec(outSchema, projCols)
+	// writeEvent sends the buffered line, one flush per event.
+	writeEvent := func() bool {
+		e.flush()
+		if e.err != nil {
 			// Client gone: r.Context() is cancelled by the server when the
 			// connection drops, which aborts the pipeline; just stop writing
 			// and drain the channel so the producer can close it. Counted
@@ -926,6 +898,16 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg c
 		}
 		return true
 	}
+	// writeNote sends a rewrite or summary line. Their fields are all
+	// finite by construction; one that is not cuts the stream as a server
+	// error rather than sending an invalid line.
+	writeNote := func(name string, v any) bool {
+		if err := e.note(name, v); err != nil {
+			s.serverErrors.Add(1)
+			return false
+		}
+		return writeEvent()
+	}
 
 	live := true
 	for ev := range events {
@@ -934,17 +916,16 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg c
 		}
 		switch ev.Kind {
 		case core.StreamEventAnswer:
-			a := toStreamAnswer(schema, outSchema, projCols, *ev.Answer)
-			live = writeEvent(streamEventJSON{Event: "answer", Answer: &a, Unranked: ev.Unranked, Stale: ev.Stale})
+			e.streamAnswer(c, ev)
+			live = writeEvent()
 		case core.StreamEventRewrite:
-			rw := toStreamRewrite(*ev.Rewrite)
-			live = writeEvent(streamEventJSON{Event: "rewrite", Rewrite: &rw})
+			live = writeNote("rewrite", toStreamRewrite(*ev.Rewrite))
 		case core.StreamEventSummary:
 			sum := ev.Summary
 			if sum.EarlyStopped {
 				s.streamStops.Add(1)
 			}
-			live = writeEvent(streamEventJSON{Event: "summary", Summary: &streamSumJSON{
+			live = writeNote("summary", streamSumJSON{
 				Query:             sum.Result.Query.String(),
 				Source:            sum.Result.Source,
 				Certain:           len(sum.Result.Certain),
@@ -959,31 +940,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, cfg c
 				EstSavedTuples:    sum.EstSavedTuples,
 				Stale:             sum.Result.Stale,
 				StaleAgeMicros:    int64(sum.Result.StaleAge / time.Microsecond),
-			}})
+			})
 		}
-	}
-}
-
-// toStreamAnswer renders one answer for the wire, applying the request's
-// projection if any.
-func toStreamAnswer(schema, outSchema *relation.Schema, projCols []int, a core.Answer) answerJSON {
-	t := a.Tuple
-	if projCols != nil {
-		pt := make(relation.Tuple, len(projCols))
-		for i, c := range projCols {
-			pt[i] = t[c]
-		}
-		t = pt
-	}
-	vals := make(map[string]any, outSchema.Len())
-	for c := 0; c < outSchema.Len(); c++ {
-		vals[outSchema.Attr(c).Name] = valueJSON(t[c])
-	}
-	return answerJSON{
-		Values:      vals,
-		Certain:     a.Certain,
-		Confidence:  a.Confidence,
-		Explanation: a.Explanation,
 	}
 }
 
@@ -1024,40 +982,6 @@ func capAnswers(answers []core.Answer, limit int) []core.Answer {
 	return answers
 }
 
-// toJSONAnswers renders tuples as attribute-keyed maps with native JSON
-// types (null for null).
-func toJSONAnswers(s *relation.Schema, answers []core.Answer) []answerJSON {
-	out := make([]answerJSON, len(answers))
-	for i, a := range answers {
-		vals := make(map[string]any, s.Len())
-		for c := 0; c < s.Len(); c++ {
-			vals[s.Attr(c).Name] = valueJSON(a.Tuple[c])
-		}
-		out[i] = answerJSON{
-			Values:      vals,
-			Certain:     a.Certain,
-			Confidence:  a.Confidence,
-			Explanation: a.Explanation,
-		}
-	}
-	return out
-}
-
-func valueJSON(v relation.Value) any {
-	switch v.Kind() {
-	case relation.KindNull:
-		return nil
-	case relation.KindInt:
-		return v.IntVal()
-	case relation.KindFloat:
-		return v.FloatVal()
-	case relation.KindBool:
-		return v.BoolVal()
-	default:
-		return v.String()
-	}
-}
-
 // joinRequest is the POST /join input: one SQL selection per side (each
 // FROM clause names its source) and the equi-join attribute pair.
 type joinRequest struct {
@@ -1069,25 +993,6 @@ type joinRequest struct {
 	// ordering and the query-pair budget.
 	Alpha float64 `json:"alpha,omitempty"`
 	K     int     `json:"k,omitempty"`
-}
-
-// joinAnswerJSON is one joined pair on the wire.
-type joinAnswerJSON struct {
-	Left       map[string]any `json:"left"`
-	Right      map[string]any `json:"right"`
-	JoinValue  any            `json:"join_value"`
-	Certain    bool           `json:"certain"`
-	Confidence float64        `json:"confidence"`
-}
-
-// joinResponse is the POST /join output.
-type joinResponse struct {
-	LeftSource     string           `json:"left_source"`
-	RightSource    string           `json:"right_source"`
-	Answers        []joinAnswerJSON `json:"answers"`
-	PairsIssued    int              `json:"pairs_issued"`
-	Degraded       bool             `json:"degraded,omitempty"`
-	EstSavedTuples float64          `json:"est_saved_tuples,omitempty"`
 }
 
 // parseJoinSide parses one side's SQL into a plain selection, rejecting
@@ -1157,31 +1062,5 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	resp := joinResponse{
-		LeftSource:     spec.LeftSource,
-		RightSource:    spec.RightSource,
-		Answers:        make([]joinAnswerJSON, 0, len(res.Answers)),
-		PairsIssued:    len(res.Pairs),
-		Degraded:       res.Degraded,
-		EstSavedTuples: res.EstSavedTuples,
-	}
-	for _, a := range res.Answers {
-		resp.Answers = append(resp.Answers, joinAnswerJSON{
-			Left:       tupleValues(leftSchema, a.Left),
-			Right:      tupleValues(rightSchema, a.Right),
-			JoinValue:  valueJSON(a.JoinValue),
-			Certain:    a.Certain,
-			Confidence: a.Confidence,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// tupleValues renders one tuple as an attribute-keyed map.
-func tupleValues(s *relation.Schema, t relation.Tuple) map[string]any {
-	vals := make(map[string]any, s.Len())
-	for c := 0; c < s.Len(); c++ {
-		vals[s.Attr(c).Name] = valueJSON(t[c])
-	}
-	return vals
+	writeJoin(w, spec.LeftSource, spec.RightSource, res, leftSchema, rightSchema)
 }

@@ -19,20 +19,7 @@ import (
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	gd := datagen.Cars(4000, 1)
-	ed, _ := datagen.MakeIncomplete(gd, 0.10, 2)
-	src := source.New("cars", ed, source.Capabilities{})
-	smpl := ed.Sample(500, rand.New(rand.NewSource(3)))
-	k, err := core.MineKnowledge("cars", smpl,
-		float64(ed.Len())/float64(smpl.Len()), smpl.IncompleteFraction(),
-		core.KnowledgeConfig{AFD: afd.Config{MinSupport: 5}, Predictor: nbc.PredictorConfig{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	med := core.New(core.Config{Alpha: 0, K: 10})
-	med.Register(src, k)
-	srv := httptest.NewServer(New(med))
-	t.Cleanup(srv.Close)
+	srv, _ := knowledgeServer(t, datagen.Cars(4000, 1))
 	return srv
 }
 
@@ -167,7 +154,7 @@ func TestQueryAggregate(t *testing.T) {
 	if err := json.Unmarshal(body, &ar); err != nil {
 		t.Fatal(err)
 	}
-	if ar.Total < ar.Certain || ar.Certain == 0 {
+	if ar.Total == nil || ar.Certain == nil || *ar.Total < *ar.Certain || *ar.Certain == 0 {
 		t.Errorf("aggregate = %+v", ar)
 	}
 }
