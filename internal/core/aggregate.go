@@ -89,16 +89,9 @@ func (m *Mediator) QueryAggregateCtx(ctx context.Context, srcName string, q rela
 	return m.QueryAggregateWithCtx(ctx, m.cfg, srcName, q, opts)
 }
 
-// QueryAggregateWith is QueryAggregate under an explicit per-call
+// QueryAggregateWithCtx is QueryAggregateCtx under an explicit per-call
 // configuration; it never touches the mediator's shared config, so
 // concurrent callers with different α/K settings cannot interfere.
-func (m *Mediator) QueryAggregateWith(cfg Config, srcName string, q relation.Query, opts AggOptions) (*AggAnswer, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QueryAggregateWithCtx
-	return m.QueryAggregateWithCtx(context.Background(), cfg, srcName, q, opts)
-}
-
-// QueryAggregateWithCtx is QueryAggregateWith under a caller-supplied
-// context.
 func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcName string, q relation.Query, opts AggOptions) (*AggAnswer, error) {
 	if q.Agg == nil {
 		return nil, fmt.Errorf("core: QueryAggregate needs an aggregate query")

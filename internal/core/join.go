@@ -10,6 +10,7 @@ import (
 	"qpiad/internal/nbc"
 	"qpiad/internal/planner"
 	"qpiad/internal/relation"
+	"qpiad/internal/source"
 )
 
 // JoinSpec describes a two-way join query over the mediator's global schema
@@ -118,16 +119,13 @@ func (m *Mediator) QueryJoin(spec JoinSpec) (*JoinResult, error) {
 // QueryJoinCtx is QueryJoin under a caller-supplied context: cancelling ctx
 // aborts in-flight source attempts and retry backoffs promptly.
 func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult, error) {
-	ls, lk, ok := m.lookup(spec.LeftSource)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %q", spec.LeftSource)
+	ls, lk, err := m.lookupKnown(spec.LeftSource)
+	if err != nil {
+		return nil, err
 	}
-	rsrc, rk, ok := m.lookup(spec.RightSource)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %q", spec.RightSource)
-	}
-	if lk == nil || rk == nil {
-		return nil, fmt.Errorf("core: join requires knowledge for both sources")
+	rsrc, rk, err := m.lookupKnown(spec.RightSource)
+	if err != nil {
+		return nil, err
 	}
 	if !ls.Schema().Has(spec.LeftJoinAttr) || !rsrc.Schema().Has(spec.RightJoinAttr) {
 		return nil, fmt.Errorf("core: join attributes %q/%q not present", spec.LeftJoinAttr, spec.RightJoinAttr)
@@ -184,32 +182,43 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 
 	res := &JoinResult{Spec: spec}
 
-	// Step 5: issue component queries once each. A side's hash index is
-	// memoized alongside the fetch: a unit appearing in many scored pairs
-	// is indexed once, not once per pair.
+	// Step 5: issue component queries once each. A component's resolved
+	// join entries and hash index are memoized alongside its fetch: a unit
+	// appearing in many scored pairs is resolved and indexed once, not once
+	// per pair.
 	type sideResult struct {
 		answers []Answer
-		index   map[string][]joinEntry
+		ents    []joinEntry // resolved join values, one per answer
+		index   joinIndex   // built the first time the side is the build side
 	}
-	leftResults := make(map[string]*sideResult)
-	rightResults := make(map[string]*sideResult)
-	var actLeft, actRight int
-	leftOpen, rightOpen := false, false
-	fetch := func(u queryUnit, src interface {
-		QueryCtx(context.Context, relation.Query) ([]relation.Tuple, error)
-		Schema() *relation.Schema
-	}, cache map[string]*sideResult, base []relation.Tuple, open *bool, act *int) *sideResult {
+	type joinSide struct {
+		src     *source.Source
+		base    []relation.Tuple
+		col     int
+		pred    *nbc.Predictor
+		results map[string]*sideResult
+		open    bool // an earlier component hit the source's open circuit
+		act     int
+	}
+	left := &joinSide{src: ls, base: lbase, col: ls.Schema().MustIndex(spec.LeftJoinAttr),
+		pred: lk.Predictors[spec.LeftJoinAttr], results: map[string]*sideResult{}}
+	right := &joinSide{src: rsrc, base: rbase, col: rsrc.Schema().MustIndex(spec.RightJoinAttr),
+		pred: rk.Predictors[spec.RightJoinAttr], results: map[string]*sideResult{}}
+	// fetch issues one component at a time, not through startFetch's pool:
+	// the planner decides whether a pair's second component is worth
+	// fetching from the first component's result.
+	fetch := func(sd *joinSide, u queryUnit) *sideResult {
 		key := u.query.Key()
-		if sr, ok := cache[key]; ok {
+		if sr, ok := sd.results[key]; ok {
 			return sr
 		}
 		sr := &sideResult{}
 		switch {
 		case u.complete:
-			for _, t := range base {
+			for _, t := range sd.base {
 				sr.answers = append(sr.answers, Answer{Tuple: t, Certain: true, Confidence: 1, FromQuery: u.query})
 			}
-		case *open:
+		case sd.open:
 			// An earlier component on this side was rejected by the source's
 			// open circuit; skip the rest of the side's rewrites unissued and
 			// account their selectivity as saved tuples — the same plan-level
@@ -217,76 +226,70 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 			res.Degraded = true
 			res.EstSavedTuples += u.rq.EstSel
 		default:
-			fres := fetchOneSched(ctx, src, u.query, m.cfg.Retry, sched, planner.Priority(u.prec, u.estSel))
+			fres := fetchOneSched(ctx, sd.src, u.query, m.cfg.Retry, sched, planner.Priority(u.prec, u.estSel))
 			if fres.err != nil {
 				// A component that stays unfetchable after retries degrades
 				// the join rather than failing it.
 				res.Degraded = true
 				if errors.Is(fres.err, breaker.ErrOpen) {
 					res.EstSavedTuples += u.rq.EstSel
-					*open = true
+					sd.open = true
 				}
-			} else {
-				tcol, ok := src.Schema().Index(u.rq.TargetAttr)
-				if ok {
-					for _, t := range fres.rows {
-						if !t[tcol].IsNull() {
-							continue
-						}
-						sr.answers = append(sr.answers, Answer{
-							Tuple:       t,
-							Confidence:  u.rq.Precision,
-							FromQuery:   u.query,
-							Explanation: u.rq.Explanation,
-						})
+			} else if tcol, ok := sd.src.Schema().Index(u.rq.TargetAttr); ok {
+				for _, t := range fres.rows {
+					if !t[tcol].IsNull() {
+						continue
 					}
+					sr.answers = append(sr.answers, Answer{
+						Tuple:       t,
+						Confidence:  u.rq.Precision,
+						FromQuery:   u.query,
+						Explanation: u.rq.Explanation,
+					})
 				}
 			}
 		}
-		cache[key] = sr
-		*act += len(sr.answers)
+		sd.results[key] = sr
+		sd.act += len(sr.answers)
 		return sr
-	}
-	fetchLeft := func(u queryUnit) *sideResult {
-		return fetch(u, ls, leftResults, lbase, &leftOpen, &actLeft)
-	}
-	fetchRight := func(u queryUnit) *sideResult {
-		return fetch(u, rsrc, rightResults, rbase, &rightOpen, &actRight)
 	}
 	// canSkip reports that not fetching u would actually save a source
 	// query: complete units are served from the already-fetched base, and
 	// cached units were fetched for an earlier pair.
-	canSkip := func(u queryUnit, cache map[string]*sideResult) bool {
+	canSkip := func(sd *joinSide, u queryUnit) bool {
 		if u.complete {
 			return false
 		}
-		_, cached := cache[u.query.Key()]
+		_, cached := sd.results[u.query.Key()]
 		return !cached
 	}
 	skip := func(u queryUnit) {
 		m.plannerSkipped.Add(1)
 		res.EstSavedTuples += u.rq.EstSel
 	}
+	resolve := func(sd *joinSide, sr *sideResult) {
+		if sr.ents == nil {
+			sr.ents = resolveJoinValues(sd.src.Schema(), sr.answers, sd.col, sd.pred)
+		}
+	}
 
-	lcol := ls.Schema().MustIndex(spec.LeftJoinAttr)
-	rcol := rsrc.Schema().MustIndex(spec.RightJoinAttr)
-	lpred := lk.Predictors[spec.LeftJoinAttr]
-	rpred := rk.Predictors[spec.RightJoinAttr]
 	seenJoin := make(map[string]bool)
-	emit := func(le, re joinEntry) {
-		key := le.ans.Tuple.Key() + "\x1f" + re.ans.Tuple.Key()
+	emit := func(lres *sideResult, l int, rres *sideResult, r int) {
+		la, ra := lres.answers[l], rres.answers[r]
+		le, re := lres.ents[l], rres.ents[r]
+		key := la.Tuple.Key() + "\x1f" + ra.Tuple.Key()
 		if seenJoin[key] {
 			return
 		}
 		seenJoin[key] = true
 		res.Answers = append(res.Answers, JoinAnswer{
-			Left:      le.ans.Tuple,
-			Right:     re.ans.Tuple,
+			Left:      la.Tuple,
+			Right:     ra.Tuple,
 			JoinValue: le.val,
 			// A predicted join value means the stored one was null, so
 			// !predded is exactly the old non-null check.
-			Certain:    le.ans.Certain && re.ans.Certain && !le.predded && !re.predded,
-			Confidence: le.conf * re.conf,
+			Certain:    la.Certain && ra.Certain && !le.predded && !re.predded,
+			Confidence: (la.Confidence * le.conf) * (ra.Confidence * re.conf),
 		})
 	}
 
@@ -299,23 +302,23 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 			// empty the pair cannot match, so the other component's fetch is
 			// skipped entirely when that would save a source query.
 			if ru.estSel < lu.estSel {
-				rres = fetchRight(ru)
-				if len(rres.answers) == 0 && canSkip(lu, leftResults) {
+				rres = fetch(right, ru)
+				if len(rres.answers) == 0 && canSkip(left, lu) {
 					skip(lu)
 					continue
 				}
-				lres = fetchLeft(lu)
+				lres = fetch(left, lu)
 			} else {
-				lres = fetchLeft(lu)
-				if len(lres.answers) == 0 && canSkip(ru, rightResults) {
+				lres = fetch(left, lu)
+				if len(lres.answers) == 0 && canSkip(right, ru) {
 					skip(ru)
 					continue
 				}
-				rres = fetchRight(ru)
+				rres = fetch(right, ru)
 			}
 		} else {
-			lres = fetchLeft(lu)
-			rres = fetchRight(ru)
+			lres = fetch(left, lu)
+			rres = fetch(right, ru)
 		}
 		if len(lres.answers) == 0 || len(rres.answers) == 0 {
 			continue
@@ -327,33 +330,23 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 		// produces the same (left, right) match set, and emit computes
 		// confidence with fixed left×right orientation, so the answers are
 		// identical either way.
-		if plannerOn && planner.BuildLeft(len(lres.answers), len(rres.answers)) {
-			if lres.index == nil {
-				lres.index = buildJoinIndex(ls.Schema(), lres.answers, lcol, lpred)
-			}
-			for _, ra := range rres.answers {
-				re, ok := resolveJoinValue(rsrc.Schema(), ra, rcol, rpred)
-				if !ok {
-					continue
-				}
-				for _, le := range lres.index[re.val.Key()] {
-					emit(le, re)
-				}
-			}
-		} else {
-			if rres.index == nil {
-				rres.index = buildJoinIndex(rsrc.Schema(), rres.answers, rcol, rpred)
-			}
-			for _, la := range lres.answers {
-				le, ok := resolveJoinValue(ls.Schema(), la, lcol, lpred)
-				if !ok {
-					continue
-				}
-				for _, re := range rres.index[le.val.Key()] {
-					emit(le, re)
-				}
-			}
+		resolve(left, lres)
+		resolve(right, rres)
+		buildLeft := plannerOn && planner.BuildLeft(len(lres.answers), len(rres.answers))
+		build, probe := rres, lres
+		if buildLeft {
+			build, probe = lres, rres
 		}
+		if build.index == nil {
+			build.index = newJoinIndex(build.ents)
+		}
+		build.index.probe(probe.ents, func(p, b int) {
+			if buildLeft {
+				emit(lres, b, rres, p)
+			} else {
+				emit(lres, p, rres, b)
+			}
+		})
 	}
 	// Certain first, then descending confidence; ties broken by tuple keys
 	// so the ranking is identical whichever order the planner joined in.
@@ -376,57 +369,76 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 			EstLeft:     adj.Left.Est,
 			EstRight:    adj.Right.Est,
 			EstOut:      adj.EstOut(),
-			ActLeft:     actLeft,
-			ActRight:    actRight,
+			ActLeft:     left.act,
+			ActRight:    right.act,
 			ActOut:      len(res.Answers),
-			BuildLeft:   plannerOn && planner.BuildLeft(actLeft, actRight),
+			BuildLeft:   plannerOn && planner.BuildLeft(left.act, right.act),
 		}},
 	}
 	return res, nil
 }
 
-// joinEntry is one answer carried through the mediator's hash join: the
-// resolved join value (stored, or NBC-predicted when the stored value was
-// null), the confidence after any prediction discount, and whether a
-// prediction happened — a predicted entry can never be part of a certain
-// join. Shared by the two-way and chain joins.
+// joinEntry is one answer's side of the mediator's hash join: the resolved
+// join value (stored, or NBC-predicted when the stored value was null), the
+// prediction's probability as a confidence factor (1 for a stored value),
+// and whether a prediction happened — a predicted entry can never be part
+// of a certain join. ok=false means the value is null and unpredictable, so
+// the answer cannot join at all.
 type joinEntry struct {
-	ans     Answer
 	val     relation.Value
 	conf    float64
 	predded bool
+	ok      bool
 }
 
-// resolveJoinValue resolves an answer's join value at column col, predicting
-// with pred when the stored value is null. ok=false means the value is null
-// and unpredictable, so the answer cannot join at all.
-func resolveJoinValue(s *relation.Schema, a Answer, col int, pred *nbc.Predictor) (joinEntry, bool) {
-	v := a.Tuple[col]
-	if !v.IsNull() {
-		return joinEntry{ans: a, val: v, conf: a.Confidence}, true
-	}
-	if pred == nil {
-		return joinEntry{}, false
-	}
-	guess, p, ok := pred.Predict(s, a.Tuple).Top()
-	if !ok {
-		return joinEntry{}, false
-	}
-	return joinEntry{ans: a, val: guess, conf: a.Confidence * p, predded: true}, true
-}
-
-// buildJoinIndex hashes answers by resolved join value — the build side of
-// the mediator's hash join, in answer order per key.
-func buildJoinIndex(s *relation.Schema, answers []Answer, col int, pred *nbc.Predictor) map[string][]joinEntry {
-	idx := make(map[string][]joinEntry, len(answers))
-	for _, a := range answers {
-		e, ok := resolveJoinValue(s, a, col, pred)
-		if !ok {
+// resolveJoinValues resolves each answer's join value at column col,
+// predicting with pred when the stored value is null.
+func resolveJoinValues(s *relation.Schema, answers []Answer, col int, pred *nbc.Predictor) []joinEntry {
+	ents := make([]joinEntry, len(answers))
+	for i, a := range answers {
+		v := a.Tuple[col]
+		if !v.IsNull() {
+			ents[i] = joinEntry{val: v, conf: 1, ok: true}
 			continue
 		}
-		idx[e.val.Key()] = append(idx[e.val.Key()], e)
+		if pred == nil {
+			continue
+		}
+		if guess, p, ok := pred.Predict(s, a.Tuple).Top(); ok {
+			ents[i] = joinEntry{val: guess, conf: p, predded: true, ok: true}
+		}
+	}
+	return ents
+}
+
+// joinIndex is the build side of the mediator's only hash join, shared by
+// the two-way and chain executors: build positions grouped by join value,
+// in build order.
+type joinIndex map[string][]int
+
+// newJoinIndex hashes the joinable build entries by join value.
+func newJoinIndex(build []joinEntry) joinIndex {
+	idx := make(joinIndex, len(build))
+	for b, e := range build {
+		if e.ok {
+			key := e.val.Key()
+			idx[key] = append(idx[key], b)
+		}
 	}
 	return idx
+}
+
+// probe calls emit(p, b) for every probe entry p and build position b that
+// share a join value: probe-major, build order within a value.
+func (idx joinIndex) probe(probe []joinEntry, emit func(p, b int)) {
+	for p, e := range probe {
+		if !e.ok {
+			continue
+		}
+		for _, b := range idx[e.val.Key()] {
+			emit(p, b)
+		}
+	}
 }
 
 // buildUnits assembles Q∪Q′ for one side of the join: the complete query

@@ -9,6 +9,7 @@ import (
 	"qpiad/internal/breaker"
 	"qpiad/internal/planner"
 	"qpiad/internal/relation"
+	"qpiad/internal/source"
 )
 
 // ChainSpec describes an n-way chain join R1 ⋈ R2 ⋈ … ⋈ Rn over
@@ -100,19 +101,16 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		return nil, fmt.Errorf("core: chain join needs %d queries and %d join attribute pairs", n, n-1)
 	}
 	type side struct {
-		src         sourceIface
+		src         *source.Source
 		k           *Knowledge
 		base        []relation.Tuple
 		baseFetched bool
 	}
 	sides := make([]side, n)
 	for i, name := range spec.Sources {
-		src, k, ok := m.lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown source %q", name)
-		}
-		if k == nil {
-			return nil, fmt.Errorf("core: no knowledge for source %q", name)
+		src, k, err := m.lookupKnown(name)
+		if err != nil {
+			return nil, err
 		}
 		sides[i] = side{src: src, k: k}
 	}
@@ -201,20 +199,27 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		}
 	}
 
-	sortedSelected := func(i int) []string {
+	// selectedRewrites lists one source's selected rewrites in sorted
+	// query-key order, so fetches and accounting never depend on map order.
+	selectedRewrites := func(i int) []RewrittenQuery {
 		keys := make([]string, 0, len(selected[i]))
 		for key := range selected[i] {
 			keys = append(keys, key)
 		}
 		sort.Strings(keys)
-		return keys
+		rqs := make([]RewrittenQuery, len(keys))
+		for j, key := range keys {
+			rqs[j] = selected[i][key]
+		}
+		return rqs
 	}
 
 	// Materialize one source's answer set: certain answers when any
 	// adjacency selected the complete query, plus post-filtered rewrite
-	// results in sorted key order. After the source's circuit rejects one
-	// rewrite, the rest are skipped unissued — the same plan-level
-	// short-circuit the select path applies (errSkippedOpen).
+	// results in sorted key order. The rewrites go through the mediator's
+	// one fetch pool, so after the source's circuit rejects one rewrite (or
+	// its budget runs out) the rest are skipped unissued — the same
+	// plan-level short-circuit the select path applies.
 	answers := make([][]Answer, n)
 	fetched := make([]bool, n)
 	skipped := make([]bool, n)
@@ -232,20 +237,20 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 				}
 			}
 		}
-		open := false
-		for _, key := range sortedSelected(i) {
-			rq := selected[i][key]
-			if open {
-				res.Degraded = true
-				res.EstSavedTuples += rq.EstSel
-				continue
-			}
-			fres := fetchOneSched(ctx, sides[i].src, rq.Query, m.cfg.Retry, sched, planner.Priority(rq.Precision, rq.EstSel))
+		rqs := selectedRewrites(i)
+		queries := make([]relation.Query, len(rqs))
+		pris := make([]float64, len(rqs))
+		for j, rq := range rqs {
+			queries[j] = rq.Query
+			pris[j] = planner.Priority(rq.Precision, rq.EstSel)
+		}
+		results := startFetch(ctx, sides[i].src, queries, m.cfg.Parallel, m.cfg.Retry, sched, pris).wait()
+		for j, fres := range results {
+			rq := rqs[j]
 			if fres.err != nil {
 				res.Degraded = true
 				if errors.Is(fres.err, breaker.ErrOpen) {
 					res.EstSavedTuples += rq.EstSel
-					open = true
 				}
 				continue
 			}
@@ -276,167 +281,65 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 		}
 		fetched[i] = true
 		skipped[i] = true
-		for _, key := range sortedSelected(i) {
-			res.EstSavedTuples += selected[i][key].EstSel
+		for _, rq := range selectedRewrites(i) {
+			res.EstSavedTuples += rq.EstSel
 			m.plannerSkipped.Add(1)
 		}
 	}
 
-	// Per-source resolved join entries, memoized per (source, attr side).
-	// Resolution passes unit confidence so ent.conf is exactly the
-	// prediction factor; factors are multiplied in canonically at
-	// materialization, keeping confidences identical across plan orders.
-	type rowEnt struct {
-		ent joinEntry
-		ok  bool
-	}
-	entL := make([][]rowEnt, n) // answers[i] on JoinAttrs[i][0]   (i < n−1)
-	entR := make([][]rowEnt, n) // answers[i] on JoinAttrs[i−1][1] (i > 0)
-	resolveSide := func(i int, attr string) []rowEnt {
-		s := sides[i].src.Schema()
-		col := s.MustIndex(attr)
-		pred := sides[i].k.Predictors[attr]
-		out := make([]rowEnt, len(answers[i]))
-		for j, a := range answers[i] {
-			e, ok := resolveJoinValue(s, Answer{Tuple: a.Tuple, Certain: a.Certain, Confidence: 1}, col, pred)
-			out[j] = rowEnt{ent: e, ok: ok}
+	// Per-source resolved join entries, memoized per (source, attr side):
+	// entL[i] resolves answers[i] on JoinAttrs[i][0] (i < n−1), entR[i] on
+	// JoinAttrs[i−1][1] (i > 0). An entry's conf is exactly the prediction
+	// factor; factors are multiplied in canonically at materialization,
+	// keeping confidences identical across plan orders.
+	entL := make([][]joinEntry, n)
+	entR := make([][]joinEntry, n)
+	ents := func(memo [][]joinEntry, i int, attr string) []joinEntry {
+		if memo[i] == nil {
+			s := sides[i].src.Schema()
+			memo[i] = resolveJoinValues(s, answers[i], s.MustIndex(attr), sides[i].k.Predictors[attr])
 		}
-		return out
+		return memo[i]
 	}
-	getEntL := func(i int) []rowEnt {
-		if entL[i] == nil {
-			entL[i] = resolveSide(i, spec.JoinAttrs[i][0])
-		}
-		return entL[i]
-	}
-	getEntR := func(i int) []rowEnt {
-		if entR[i] == nil {
-			entR[i] = resolveSide(i, spec.JoinAttrs[i-1][1])
-		}
-		return entR[i]
-	}
+	getEntL := func(i int) []joinEntry { return ents(entL, i, spec.JoinAttrs[i][0]) }
+	getEntR := func(i int) []joinEntry { return ents(entR, i, spec.JoinAttrs[i-1][1]) }
 
 	// Partial chains are fixed-length row-index vectors (-1 = source not
-	// yet joined) covering the contiguous interval [lo, hi].
-	clone := func(p []int, i, row int) []int {
-		np := make([]int, n)
-		copy(np, p)
-		np[i] = row
-		return np
-	}
-	seed := func(a int, buildLeft bool) [][]int {
-		le, re := getEntL(a), getEntR(a+1)
-		blank := make([]int, n)
-		for i := range blank {
-			blank[i] = -1
+	// yet joined) covering the contiguous interval [lo, hi]. extend joins
+	// the partials, whose member source carries memberEnts, with source add
+	// (addEnts) over one adjacency. buildNew hashes the new source and
+	// probes it with the partials — the caller-order default; otherwise the
+	// partials are hashed and probed by the new source's rows.
+	extend := func(partials [][]int, member int, memberEnts []joinEntry, add int, addEnts []joinEntry, buildNew bool) [][]int {
+		pents := make([]joinEntry, len(partials))
+		for pi, p := range partials {
+			pents[pi] = memberEnts[p[member]]
 		}
 		var out [][]int
-		idx := make(map[string][]int)
-		if buildLeft {
-			for j, e := range le {
-				if e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], j)
-				}
-			}
-			for kdx, e := range re {
-				if !e.ok {
-					continue
-				}
-				for _, j := range idx[e.ent.val.Key()] {
-					out = append(out, clone(clone(blank, a, j), a+1, kdx))
-				}
-			}
+		grow := func(pi, row int) {
+			np := make([]int, n)
+			copy(np, partials[pi])
+			np[add] = row
+			out = append(out, np)
+		}
+		if buildNew {
+			newJoinIndex(addEnts).probe(pents, grow)
 		} else {
-			for kdx, e := range re {
-				if e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], kdx)
-				}
-			}
-			for j, e := range le {
-				if !e.ok {
-					continue
-				}
-				for _, kdx := range idx[e.ent.val.Key()] {
-					out = append(out, clone(clone(blank, a, j), a+1, kdx))
-				}
-			}
+			newJoinIndex(pents).probe(addEnts, func(row, pi int) { grow(pi, row) })
 		}
 		return out
 	}
-	// extendRight joins adjacency a = hi: partials (member hi, left attr)
-	// against new source hi+1. buildNew indexes the new source and probes
-	// partials — the caller-order default; otherwise partials are indexed.
-	extendRight := func(a int, partials [][]int, buildNew bool) [][]int {
-		le, re := getEntL(a), getEntR(a+1)
-		var out [][]int
-		idx := make(map[string][]int)
-		if buildNew {
-			for kdx, e := range re {
-				if e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], kdx)
-				}
+	// single lists source i's rows as one-member partials, the seed of the
+	// first adjacency's extend.
+	single := func(i int) [][]int {
+		out := make([][]int, len(answers[i]))
+		for row := range out {
+			p := make([]int, n)
+			for j := range p {
+				p[j] = -1
 			}
-			for _, p := range partials {
-				e := le[p[a]]
-				if !e.ok {
-					continue
-				}
-				for _, kdx := range idx[e.ent.val.Key()] {
-					out = append(out, clone(p, a+1, kdx))
-				}
-			}
-		} else {
-			for pi, p := range partials {
-				if e := le[p[a]]; e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], pi)
-				}
-			}
-			for kdx, e := range re {
-				if !e.ok {
-					continue
-				}
-				for _, pi := range idx[e.ent.val.Key()] {
-					out = append(out, clone(partials[pi], a+1, kdx))
-				}
-			}
-		}
-		return out
-	}
-	// extendLeft joins adjacency a = lo−1: new source a against partials
-	// (member a+1 = lo, right attr). Only reachable under a planner order.
-	extendLeft := func(a int, partials [][]int, buildNew bool) [][]int {
-		le, re := getEntL(a), getEntR(a+1)
-		var out [][]int
-		idx := make(map[string][]int)
-		if buildNew {
-			for j, e := range le {
-				if e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], j)
-				}
-			}
-			for _, p := range partials {
-				e := re[p[a+1]]
-				if !e.ok {
-					continue
-				}
-				for _, j := range idx[e.ent.val.Key()] {
-					out = append(out, clone(p, a, j))
-				}
-			}
-		} else {
-			for pi, p := range partials {
-				if e := re[p[a+1]]; e.ok {
-					idx[e.ent.val.Key()] = append(idx[e.ent.val.Key()], pi)
-				}
-			}
-			for j, e := range le {
-				if !e.ok {
-					continue
-				}
-				for _, pi := range idx[e.ent.val.Key()] {
-					out = append(out, clone(partials[pi], a, j))
-				}
-			}
+			p[i] = row
+			out[row] = p
 		}
 		return out
 	}
@@ -495,20 +398,20 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 				fetchAnswers(second)
 				buildLeft := plannerOn && planner.BuildLeft(len(answers[a]), len(answers[a+1]))
 				st.BuildLeft = buildLeft
-				partials = seed(a, buildLeft)
+				partials = extend(single(a), a, getEntL(a), a+1, getEntR(a+1), !buildLeft)
 			}
 			lo = a
 		case a < lo:
 			fetchAnswers(a)
 			buildNew := !plannerOn || planner.BuildLeft(len(answers[a]), len(partials))
 			st.BuildLeft = buildNew
-			partials = extendLeft(a, partials, buildNew)
+			partials = extend(partials, a+1, getEntR(a+1), a, getEntL(a), buildNew)
 			lo = a
 		default:
 			fetchAnswers(a + 1)
 			buildPartials := plannerOn && planner.BuildLeft(len(partials), len(answers[a+1]))
 			st.BuildLeft = buildPartials
-			partials = extendRight(a, partials, !buildPartials)
+			partials = extend(partials, a, getEntL(a), a+1, getEntR(a+1), !buildPartials)
 		}
 		if plannerOn && len(partials) == 0 {
 			empty = true
@@ -536,15 +439,15 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 			}
 			if i > 0 {
 				e := entR[i][p[i]]
-				conf *= e.ent.conf
-				if e.ent.predded {
+				conf *= e.conf
+				if e.predded {
 					certain = false
 				}
 			}
 			if i < n-1 {
 				e := entL[i][p[i]]
-				conf *= e.ent.conf
-				if e.ent.predded {
+				conf *= e.conf
+				if e.predded {
 					certain = false
 				}
 			}
@@ -573,11 +476,4 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 	})
 	res.Explain = &planner.Explain{PlannerOn: plannerOn, Order: order, Steps: steps}
 	return res, nil
-}
-
-// sourceIface is the slice of the source API the chain join uses.
-type sourceIface interface {
-	QueryCtx(context.Context, relation.Query) ([]relation.Tuple, error)
-	Schema() *relation.Schema
-	Name() string
 }

@@ -368,3 +368,29 @@ func TestChainPlannerShortCircuit(t *testing.T) {
 		t.Error("planner-on empty chain should skip rewrite fetches")
 	}
 }
+
+// TestChainBudgetEarlyStop is the budget analogue of the open-circuit
+// parity: once a source refuses one of the chain's rewrites for budget
+// exhaustion, the rest of its selected rewrites are skipped unissued, so
+// exactly one refusal reaches the source — as on the select path
+// (TestBudgetEarlyStop).
+func TestChainBudgetEarlyStop(t *testing.T) {
+	m, srcs := slowChainFixture(t, 0)
+	const budget = 2 // base + 1 rewrite, then exhausted
+	comp := source.New("complaints", srcs[1].Relation(), source.Capabilities{MaxQueries: budget})
+	m.Register(comp, m.knowledge["complaints"])
+	res, err := m.QueryJoinChain(chainSpec(0.5, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded {
+		t.Error("budget-exhausted chain must be Degraded")
+	}
+	st := comp.Stats()
+	if st.Queries != budget {
+		t.Errorf("source accepted %d queries, want the budget %d", st.Queries, budget)
+	}
+	if st.Rejected != 1 {
+		t.Errorf("Rejected = %d, want exactly 1 (remaining rewrites skipped unissued)", st.Rejected)
+	}
+}

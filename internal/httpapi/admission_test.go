@@ -277,6 +277,7 @@ func TestJoinEndpoint(t *testing.T) {
 		{"bad sql", `{"left_sql": "SELEC *", "right_sql": "SELECT * FROM cars", "on": ["model", "model"]}`},
 		{"aggregate side", `{"left_sql": "SELECT COUNT(*) FROM cars", "right_sql": "SELECT * FROM cars", "on": ["model", "model"]}`},
 		{"missing on", `{"left_sql": "SELECT * FROM cars WHERE body_style = 'Convt'", "right_sql": "SELECT * FROM cars", "on": ["", ""]}`},
+		{"unknown join attribute", `{"left_sql": "SELECT * FROM cars WHERE body_style = 'Convt'", "right_sql": "SELECT * FROM cars", "on": ["model", "nosuch"]}`},
 	} {
 		if resp, _ := post(bad.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", bad.name, resp.StatusCode)

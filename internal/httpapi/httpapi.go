@@ -1043,6 +1043,10 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, `missing "on": [left_attr, right_attr]`)
 		return
 	}
+	if !leftSchema.Has(req.On[0]) || !rightSchema.Has(req.On[1]) {
+		s.writeErr(w, http.StatusBadRequest, "join attributes %q/%q not present", req.On[0], req.On[1])
+		return
+	}
 	spec := core.JoinSpec{
 		LeftSource:    left.Query.Relation,
 		RightSource:   right.Query.Relation,
