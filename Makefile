@@ -1,6 +1,6 @@
 # QPIAD build/test targets. `make tier1` is the gate CI runs: gofmt
-# cleanliness, build, vet, the project's own analyzers (lint), and the full
-# test suite under the race detector.
+# cleanliness, build, vet, the project's own analyzers (lint), the example
+# programs, and the full test suite under the race detector.
 
 GO ?= go
 
@@ -10,9 +10,9 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: tier1 fmt-check build vet lint sarif test race bench-module vuln bench bench-json bench-planner bench-load bench-chaos clean
+.PHONY: tier1 fmt-check build vet lint sarif test race examples bench-module vuln bench bench-json bench-planner bench-load bench-chaos clean
 
-tier1: fmt-check build vet lint race
+tier1: fmt-check build vet lint examples race
 
 # fmt-check fails when any Go file is not gofmt-clean, listing the files.
 fmt-check:
@@ -54,6 +54,18 @@ test:
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/chaos$$')
 	$(GO) test -race ./internal/chaos
+
+# examples builds and runs every examples/* program (each is deterministic
+# and finishes in well under a second), failing on the first non-zero exit
+# and printing that program's output. `go build` alone would only prove the
+# public API still compiles, not that the programs still work.
+examples:
+	@for dir in examples/*/; do \
+		name=$$(basename $$dir); \
+		$(GO) build -o bin/examples/$$name ./$$dir; \
+		out=$$(./bin/examples/$$name 2>&1) || { echo "$$out"; echo "example $$name failed"; exit 1; }; \
+		echo "ok   examples/$$name"; \
+	done
 
 # bench-module vets and tests the benchmark, which is its own Go module
 # (qpiadbench/go.mod, using this module through a replace directive): the

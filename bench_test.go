@@ -183,7 +183,7 @@ func BenchmarkQuerySelectEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := med.QuerySelect("cars", q)
+		rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func BenchmarkResilientFetch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := med.QuerySelect("cars", q)
+		rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func BenchmarkBreakerFlap(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Down-window failures and open-circuit rejections are the
 				// point of the workload, not benchmark errors.
-				_, _ = med.QuerySelect("cars", q)
+				_, _ = med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 			}
 			b.StopTimer()
 			st := src.Stats()
@@ -306,8 +306,8 @@ func BenchmarkMineKnowledge(b *testing.B) {
 }
 
 // BenchmarkWarmQuery measures a repeated identical selection with the
-// mediator answer cache on: after the first iteration every QuerySelect is
-// a cache hit plus a ResultSet clone. BenchmarkWarmQueryNoCache is the same
+// mediator answer cache on: after the first iteration every selection is a
+// cache hit plus a ResultSet clone. BenchmarkWarmQueryNoCache is the same
 // workload through the full pipeline — their ratio is the cache's payoff.
 func BenchmarkWarmQuery(b *testing.B) {
 	benchWarmQuery(b, core.Config{Alpha: 0, K: 10})
@@ -324,13 +324,13 @@ func benchWarmQuery(b *testing.B, cfg core.Config) {
 	med := core.New(cfg)
 	med.Register(source.New("cars", ed, source.Capabilities{}), k)
 	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
-	if _, err := med.QuerySelect("cars", q); err != nil { // warm the cache
+	if _, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := med.QuerySelect("cars", q)
+		rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,13 +344,13 @@ func BenchmarkSourceIndexedSelect(b *testing.B) {
 	ed := benchSample(20000)
 	src := source.New("cars", ed, source.Capabilities{})
 	q := relation.NewQuery("cars", relation.Eq("model", relation.String("Civic")))
-	if _, err := src.Query(q); err != nil { // warm the index
+	if _, err := src.QueryCtx(context.Background(), q); err != nil { // warm the index
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := src.Query(q)
+		rows, err := src.QueryCtx(context.Background(), q)
 		if err != nil || len(rows) == 0 {
 			b.Fatalf("rows=%d err=%v", len(rows), err)
 		}
@@ -396,7 +396,7 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
-			rs, err := med.QuerySelect("cars", q)
+			rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				events, err := med.SelectStream(context.Background(), "cars", q)
+				events, err := med.SelectStreamWith(context.Background(), med.Config(), "cars", q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -561,7 +561,7 @@ func plannerBenchWorld(b *testing.B) (off, on *core.Mediator) {
 	compSrc, compK := mk("complaints", datagen.Complaints(2500, 406), "general_component", 407)
 	recSrc, recK := mk("recalls", datagen.Recalls(800, 408), "severity", 409)
 
-	cfg := core.Config{Alpha: 0.5, K: 8, NoCache: true, CacheSize: -1}
+	cfg := core.Config{Alpha: 0.5, K: 8, NoCache: true}
 	off = core.New(cfg)
 	cfg.Planner = &planner.Config{}
 	on = core.New(cfg)
@@ -609,11 +609,11 @@ func BenchmarkPlannerVsCallerOrder(b *testing.B) {
 	// Equivalence proof: identical answer sets (confidences included) with
 	// the planner on and off, on the timed spec and the non-empty variant.
 	for _, spec := range []core.ChainSpec{pessimal, selective} {
-		offRes, err := off.QueryJoinChain(spec)
+		offRes, err := off.QueryJoinChainCtx(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		onRes, err := on.QueryJoinChain(spec)
+		onRes, err := on.QueryJoinChainCtx(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -622,7 +622,7 @@ func BenchmarkPlannerVsCallerOrder(b *testing.B) {
 				len(offRes.Answers), len(onRes.Answers))
 		}
 	}
-	if sel, err := on.QueryJoinChain(selective); err != nil || len(sel.Answers) == 0 {
+	if sel, err := on.QueryJoinChainCtx(context.Background(), selective); err != nil || len(sel.Answers) == 0 {
 		b.Fatalf("selective variant should produce answers (err=%v)", err)
 	}
 
@@ -640,7 +640,7 @@ func BenchmarkPlannerVsCallerOrder(b *testing.B) {
 		q0, t0 := totals()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := m.QueryJoinChain(pessimal)
+			res, err := m.QueryJoinChainCtx(context.Background(), pessimal)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -717,7 +717,7 @@ func loadBenchStepDur(b *testing.B) time.Duration {
 func BenchmarkLoadSLO(b *testing.B) {
 	ed := benchSample(4000)
 	k := benchKnowledge(b, ed)
-	med := core.New(core.Config{Alpha: 0, K: 8, NoCache: true, CacheSize: -1})
+	med := core.New(core.Config{Alpha: 0, K: 8, NoCache: true})
 	med.Register(source.New("cars", ed, source.Capabilities{}), k)
 
 	// MaxInFlight tracks the core count but is floored at 4: on one- and

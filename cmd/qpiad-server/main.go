@@ -104,17 +104,13 @@ func main() {
 	ccfg := core.Config{
 		Alpha: *alpha, K: *k, Parallel: *parallel, TopN: *top,
 		Retry:    core.RetryPolicy{MaxAttempts: *retries, AttemptTimeout: *attemptTO},
-		CacheTTL: *cacheTTL, StaleTTL: *staleTTL,
+		CacheTTL: *cacheTTL, StaleTTL: *staleTTL, NoCache: *noCache,
 	}
 	if *useBreaker {
 		ccfg.Breaker = &breaker.Config{}
 	}
 	if *hedge {
 		ccfg.Retry.Hedge = core.HedgePolicy{Enabled: true}
-	}
-	if *noCache {
-		ccfg.NoCache = true
-		ccfg.CacheSize = -1
 	}
 	if *usePlan {
 		// The scheduler bounds in-flight rewrite fetches across concurrent

@@ -223,7 +223,7 @@ func run(csvPath string, n int, seed int64, incmp, smplFrac float64, attr, value
 		}
 	}
 	fmt.Printf("\nquery: %s\n", q)
-	rs, err := sys.Query("db", q)
+	rs, err := sys.Query(context.Background(), "db", q)
 	if err != nil {
 		return err
 	}
@@ -497,11 +497,11 @@ func execSQL(sys *qpiad.System, db *qpiad.Relation, sql string, out io.Writer, l
 	q := st.Query
 	q.Relation = "db"
 	if q.Agg != nil {
-		plain, err := sys.QueryAggregate("db", q, qpiad.AggOptions{})
+		plain, err := sys.QueryAggregate(context.Background(), "db", q, qpiad.AggOptions{})
 		if err != nil {
 			return err
 		}
-		pred, err := sys.QueryAggregate("db", q, qpiad.AggOptions{
+		pred, err := sys.QueryAggregate(context.Background(), "db", q, qpiad.AggOptions{
 			IncludePossible: true, PredictMissing: true, Rule: qpiad.RuleArgmax,
 		})
 		if err != nil {
@@ -510,7 +510,7 @@ func execSQL(sys *qpiad.System, db *qpiad.Relation, sql string, out io.Writer, l
 		emit(out, "certain-only: %.2f   with prediction: %.2f\n", plain.Total, pred.Total)
 		return nil
 	}
-	rs, err := sys.Query("db", q)
+	rs, err := sys.Query(context.Background(), "db", q)
 	if err != nil {
 		return err
 	}
@@ -563,11 +563,11 @@ func fprintAnswers(out io.Writer, answers []qpiad.Answer, limit int, explain boo
 func runAggregate(sys *qpiad.System, s *qpiad.Schema, q qpiad.Query) error {
 	q.Relation = "db"
 	fmt.Printf("\naggregate query: %s\n", q)
-	plain, err := sys.QueryAggregate("db", q, qpiad.AggOptions{})
+	plain, err := sys.QueryAggregate(context.Background(), "db", q, qpiad.AggOptions{})
 	if err != nil {
 		return err
 	}
-	pred, err := sys.QueryAggregate("db", q, qpiad.AggOptions{
+	pred, err := sys.QueryAggregate(context.Background(), "db", q, qpiad.AggOptions{
 		IncludePossible: true,
 		PredictMissing:  true,
 		Rule:            qpiad.RuleArgmax,

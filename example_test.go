@@ -1,6 +1,7 @@
 package qpiad_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,7 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	rs, err := sys.Query("cars", qpiad.NewQuery("cars",
+	rs, err := sys.Query(context.Background(), "cars", qpiad.NewQuery("cars",
 		qpiad.Eq("body_style", qpiad.String("Convt"))))
 	if err != nil {
 		log.Fatal(err)

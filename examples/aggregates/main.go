@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -42,11 +43,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	noPred, err := sys.QueryAggregate("cars", q, qpiad.AggOptions{})
+	ctx := context.Background()
+	noPred, err := sys.QueryAggregate(ctx, "cars", q, qpiad.AggOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	withPred, err := sys.QueryAggregate("cars", q, qpiad.AggOptions{
+	withPred, err := sys.QueryAggregate(ctx, "cars", q, qpiad.AggOptions{
 		IncludePossible: true,
 		PredictMissing:  true,
 		Rule:            qpiad.RuleArgmax,
@@ -68,11 +70,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	no2, err := sys.QueryAggregate("cars", q2, qpiad.AggOptions{})
+	no2, err := sys.QueryAggregate(ctx, "cars", q2, qpiad.AggOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	with2, err := sys.QueryAggregate("cars", q2, qpiad.AggOptions{
+	with2, err := sys.QueryAggregate(ctx, "cars", q2, qpiad.AggOptions{
 		IncludePossible: true,
 		PredictMissing:  true,
 		Rule:            qpiad.RuleArgmax,

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -52,7 +53,7 @@ func main() {
 			Alpha:         alpha,
 			K:             10,
 		}
-		res, err := sys.QueryJoin(spec)
+		res, err := sys.QueryJoin(context.Background(), spec)
 		if err != nil {
 			log.Fatal(err)
 		}

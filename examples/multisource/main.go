@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -60,7 +61,7 @@ func main() {
 	fmt.Printf("query on the global schema: %s\n", q)
 	fmt.Println("yahoo_autos does not export body_style — a certain-answer-only mediator returns nothing from it")
 
-	rs, err := sys.QueryCorrelated("yahoo_autos", q)
+	rs, err := sys.QueryCorrelated(context.Background(), "yahoo_autos", q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -70,7 +71,7 @@ func main() {
 
 	// The paper's query: all convertibles.
 	q := qpiad.NewQuery("cars", qpiad.Eq("body_style", qpiad.String("Convt")))
-	rs, err := sys.Query("cars", q)
+	rs, err := sys.Query(context.Background(), "cars", q)
 	if err != nil {
 		log.Fatal(err)
 	}

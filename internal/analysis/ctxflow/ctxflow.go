@@ -8,15 +8,16 @@
 //   - any call to context.Background() or context.TODO();
 //   - any method call that drops an in-scope context: the enclosing
 //     function has a context.Context parameter, yet the call targets a
-//     method M whose receiver also provides M+"Ctx" taking a context (the
-//     Source.Query / Source.QueryCtx pattern).
+//     method M whose receiver also provides M+"Ctx" taking a context (an
+//     M / MCtx wrapper pair).
 //
 // Command-line entry points (cmd/..., package main), examples, offline
 // experiment harnesses (HarnessPackages) and _test.go files are out of
 // scope: a process root is exactly where context.Background() belongs.
-// Library-side convenience wrappers that intentionally root a context
-// (e.g. Source.Query delegating to QueryCtx) carry an audited
-// //lint:allow ctxflow comment instead.
+// Library code that must root a context anyway carries an audited allow
+// comment for this analyzer (see DESIGN.md "Enforced invariants"); none
+// is needed today, since every mediator query method and Source.QueryCtx
+// take the caller's context.
 package ctxflow
 
 import (
@@ -98,7 +99,7 @@ func checkCall(pass *analysis.Pass, stack []ast.Node, call *ast.CallExpr) {
 		return
 	}
 	// A call to method M while the receiver also offers M+"Ctx"(ctx, ...)
-	// silently reroots the context (Source.Query vs Source.QueryCtx).
+	// silently reroots the context (a Query vs QueryCtx wrapper pair).
 	recv := analysis.ReceiverOf(pass.Info, call)
 	if recv == nil {
 		return

@@ -15,6 +15,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -26,25 +27,25 @@ import (
 // AllReturned retrieves the certain answers plus every tuple null on a
 // constrained attribute, in source order, unranked (confidence 0 for
 // possible answers). The source must allow null binding.
-func AllReturned(src *source.Source, q relation.Query) (*core.ResultSet, error) {
-	return run(src, q, nil)
+func AllReturned(ctx context.Context, src *source.Source, q relation.Query) (*core.ResultSet, error) {
+	return run(ctx, src, q, nil)
 }
 
 // AllRanked retrieves the same answer set as AllReturned and ranks the
 // possible answers by the predicted probability that their missing
 // value(s) satisfy the query predicates, using the knowledge's predictors.
-func AllRanked(src *source.Source, q relation.Query, k *core.Knowledge) (*core.ResultSet, error) {
+func AllRanked(ctx context.Context, src *source.Source, q relation.Query, k *core.Knowledge) (*core.ResultSet, error) {
 	if k == nil {
 		return nil, fmt.Errorf("baseline: AllRanked requires mined knowledge")
 	}
-	return run(src, q, k)
+	return run(ctx, src, q, k)
 }
 
-func run(src *source.Source, q relation.Query, k *core.Knowledge) (*core.ResultSet, error) {
+func run(ctx context.Context, src *source.Source, q relation.Query, k *core.Knowledge) (*core.ResultSet, error) {
 	rs := &core.ResultSet{Query: q, Source: src.Name()}
 
 	// Certain answers.
-	base, err := src.Query(q)
+	base, err := src.QueryCtx(ctx, q)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: base query: %w", err)
 	}
@@ -60,7 +61,7 @@ func run(src *source.Source, q relation.Query, k *core.Knowledge) (*core.ResultS
 	constrained := q.ConstrainedAttrs()
 	for _, attr := range constrained {
 		nq := q.WithoutAttr(attr).With(relation.IsNull(attr))
-		rows, err := src.Query(nq)
+		rows, err := src.QueryCtx(ctx, nq)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: null-binding query: %w", err)
 		}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -80,7 +81,7 @@ func convtQ() relation.Query {
 
 func TestAllReturnedRetrievesEveryNullTuple(t *testing.T) {
 	f := newFixture(t, true)
-	rs, err := AllReturned(f.src, convtQ())
+	rs, err := AllReturned(context.Background(), f.src, convtQ())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestAllReturnedRetrievesEveryNullTuple(t *testing.T) {
 
 func TestAllReturnedNeedsNullBinding(t *testing.T) {
 	f := newFixture(t, false)
-	_, err := AllReturned(f.src, convtQ())
+	_, err := AllReturned(context.Background(), f.src, convtQ())
 	if !errors.Is(err, source.ErrNullBinding) {
 		t.Fatalf("err = %v, want ErrNullBinding", err)
 	}
@@ -109,7 +110,7 @@ func TestAllReturnedNeedsNullBinding(t *testing.T) {
 
 func TestAllRankedOrdersByRelevance(t *testing.T) {
 	f := newFixture(t, true)
-	rs, err := AllRanked(f.src, convtQ(), f.k)
+	rs, err := AllRanked(context.Background(), f.src, convtQ(), f.k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestAllRankedOrdersByRelevance(t *testing.T) {
 
 func TestAllRankedRequiresKnowledge(t *testing.T) {
 	f := newFixture(t, true)
-	if _, err := AllRanked(f.src, convtQ(), nil); err == nil {
+	if _, err := AllRanked(context.Background(), f.src, convtQ(), nil); err == nil {
 		t.Error("nil knowledge should error")
 	}
 }
@@ -152,7 +153,7 @@ func TestBaselineTransfersEverything(t *testing.T) {
 	// null-bearing tuple regardless of relevance.
 	f := newFixture(t, true)
 	f.src.ResetStats()
-	if _, err := AllReturned(f.src, convtQ()); err != nil {
+	if _, err := AllReturned(context.Background(), f.src, convtQ()); err != nil {
 		t.Fatal(err)
 	}
 	st := f.src.Stats()
@@ -168,7 +169,7 @@ func TestMultiAttributeBaseline(t *testing.T) {
 		relation.Eq("model", relation.String("Z4")),
 		relation.Eq("body_style", relation.String("Convt")),
 	)
-	rs, err := AllRanked(f.src, q, f.k)
+	rs, err := AllRanked(context.Background(), f.src, q, f.k)
 	if err != nil {
 		t.Fatal(err)
 	}

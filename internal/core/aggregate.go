@@ -73,28 +73,18 @@ type AggAnswer struct {
 	Degraded bool
 }
 
-// QueryAggregate processes an aggregate query (q.Agg != nil) per Section
-// 4.4: compute the aggregate over the certain answers, then — when
-// IncludePossible — generate rewritten queries and fold in the aggregate of
-// each rewrite whose predicted most-likely value satisfies the original
-// predicate (RuleArgmax) or a precision-weighted fraction (RuleFractional).
-func (m *Mediator) QueryAggregate(srcName string, q relation.Query, opts AggOptions) (*AggAnswer, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QueryAggregateCtx
-	return m.QueryAggregateCtx(context.Background(), srcName, q, opts)
-}
-
-// QueryAggregateCtx is QueryAggregate under a caller-supplied context:
-// cancelling ctx aborts in-flight source attempts and retry backoffs.
-func (m *Mediator) QueryAggregateCtx(ctx context.Context, srcName string, q relation.Query, opts AggOptions) (*AggAnswer, error) {
-	return m.QueryAggregateWithCtx(ctx, m.cfg, srcName, q, opts)
-}
-
-// QueryAggregateWithCtx is QueryAggregateCtx under an explicit per-call
-// configuration; it never touches the mediator's shared config, so
-// concurrent callers with different α/K settings cannot interfere.
+// QueryAggregateWithCtx processes an aggregate query (q.Agg != nil) per
+// Section 4.4 under an explicit per-call configuration: compute the
+// aggregate over the certain answers, then — when IncludePossible —
+// generate rewritten queries and fold in the aggregate of each rewrite
+// whose predicted most-likely value satisfies the original predicate
+// (RuleArgmax) or a precision-weighted fraction (RuleFractional).
+// Cancelling ctx aborts in-flight source attempts and retry backoffs. cfg
+// is read, never stored, so concurrent callers with different α/K settings
+// cannot interfere.
 func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcName string, q relation.Query, opts AggOptions) (*AggAnswer, error) {
 	if q.Agg == nil {
-		return nil, fmt.Errorf("core: QueryAggregate needs an aggregate query")
+		return nil, fmt.Errorf("core: QueryAggregateWithCtx needs an aggregate query")
 	}
 	src, k, err := m.lookupKnown(srcName)
 	if err != nil {
@@ -111,7 +101,7 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 	}
 	base := bres.rows
 	out := &AggAnswer{}
-	certain, rows, err := m.aggregateOver(src.Schema(), k, agg, base, opts.PredictMissing)
+	certain, rows, err := aggregateOver(src.Schema(), k, agg, base, opts.PredictMissing)
 	if err != nil {
 		return nil, err
 	}
@@ -119,12 +109,12 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 	out.CertainRows = rows
 
 	if opts.IncludePossible {
-		cands := m.generateRewrites(k, q, base, src.Schema())
+		cands := GenerateRewrites(k, q, base, src.Schema())
 		var included []RewrittenQuery
 		var weights []float64
 		var queries []relation.Query
-		for _, rq := range scoreAndSelectWith(cfg, cands) {
-			if include, weight := m.shouldInclude(rq, opts.Rule); include {
+		for _, rq := range ScoreAndSelect(cands, cfg.Alpha, cfg.K, cfg.Ordering) {
+			if include, weight := shouldInclude(rq, opts.Rule); include {
 				included = append(included, rq)
 				weights = append(weights, weight)
 				queries = append(queries, rq.Query)
@@ -162,7 +152,7 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 			if len(contrib) == 0 {
 				continue
 			}
-			val, n, err := m.aggregateOver(src.Schema(), k, agg, contrib, opts.PredictMissing)
+			val, n, err := aggregateOver(src.Schema(), k, agg, contrib, opts.PredictMissing)
 			if err != nil {
 				continue
 			}
@@ -176,7 +166,7 @@ func (m *Mediator) QueryAggregateWithCtx(ctx context.Context, cfg Config, srcNam
 }
 
 // shouldInclude applies the inclusion rule to one rewritten query.
-func (m *Mediator) shouldInclude(rq RewrittenQuery, rule InclusionRule) (bool, float64) {
+func shouldInclude(rq RewrittenQuery, rule InclusionRule) (bool, float64) {
 	switch rule {
 	case RuleFractional:
 		return rq.Precision > 0, rq.Precision
@@ -190,7 +180,7 @@ func (m *Mediator) shouldInclude(rq RewrittenQuery, rule InclusionRule) (bool, f
 // them. Completion is a Map stage in the fold pipeline, so no completed
 // copy of the tuple set is ever materialized — each incomplete tuple is
 // cloned, patched, folded and dropped.
-func (m *Mediator) aggregateOver(s *relation.Schema, k *Knowledge, agg relation.Aggregate, tuples []relation.Tuple, predictMissing bool) (float64, int, error) {
+func aggregateOver(s *relation.Schema, k *Knowledge, agg relation.Aggregate, tuples []relation.Tuple, predictMissing bool) (float64, int, error) {
 	seq := relation.FromTuples(tuples)
 	if predictMissing && agg.Attr != "" {
 		col, ok := s.Index(agg.Attr)

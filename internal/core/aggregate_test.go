@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ func countQuery() relation.Query {
 
 func TestAggregateCertainOnly(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
-	ans, err := f.m.QueryAggregate("cars", countQuery(), AggOptions{})
+	ans, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", countQuery(), AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +29,11 @@ func TestAggregateCertainOnly(t *testing.T) {
 func TestAggregateWithPossibleApproachesTruth(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
 	truth := float64(f.gd.Count(convtQuery()))
-	noPred, err := f.m.QueryAggregate("cars", countQuery(), AggOptions{})
+	noPred, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", countQuery(), AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPred, err := f.m.QueryAggregate("cars", countQuery(), AggOptions{
+	withPred, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", countQuery(), AggOptions{
 		IncludePossible: true,
 		PredictMissing:  true,
 		Rule:            RuleArgmax,
@@ -60,7 +61,7 @@ func TestAggregateArgmaxExcludesUnlikelyRewrites(t *testing.T) {
 	// Civic at 0.15) have a different argmax, so no rewrite qualifies.
 	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Coupe")))
 	q.Agg = &relation.Aggregate{Func: relation.AggCount}
-	ans, err := f.m.QueryAggregate("cars", q, AggOptions{IncludePossible: true, Rule: RuleArgmax})
+	ans, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", q, AggOptions{IncludePossible: true, Rule: RuleArgmax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestAggregateFractionalRule(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 1, K: 0})
 	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Coupe")))
 	q.Agg = &relation.Aggregate{Func: relation.AggCount}
-	ans, err := f.m.QueryAggregate("cars", q, AggOptions{IncludePossible: true, Rule: RuleFractional})
+	ans, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", q, AggOptions{IncludePossible: true, Rule: RuleFractional})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestAggregateSumWithPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noPred, err := f.m.QueryAggregate("cars", q, AggOptions{})
+	noPred, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", q, AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPred, err := f.m.QueryAggregate("cars", q, AggOptions{PredictMissing: true})
+	withPred, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", q, AggOptions{PredictMissing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +113,15 @@ func TestAggregateSumWithPrediction(t *testing.T) {
 
 func TestAggregateErrors(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	if _, err := f.m.QueryAggregate("cars", convtQuery(), AggOptions{}); err == nil {
+	if _, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", convtQuery(), AggOptions{}); err == nil {
 		t.Error("non-aggregate query should error")
 	}
-	if _, err := f.m.QueryAggregate("nope", countQuery(), AggOptions{}); err == nil {
+	if _, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "nope", countQuery(), AggOptions{}); err == nil {
 		t.Error("unknown source should error")
 	}
 	bad := convtQuery()
 	bad.Agg = &relation.Aggregate{Func: relation.AggSum, Attr: "nope"}
-	if _, err := f.m.QueryAggregate("cars", bad, AggOptions{}); err == nil {
+	if _, err := f.m.QueryAggregateWithCtx(context.Background(), f.m.Config(), "cars", bad, AggOptions{}); err == nil {
 		t.Error("unknown aggregate attribute should error")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -20,13 +21,13 @@ func TestAnswerCacheHitSkipsSource(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
 
-	cold, err := f.m.QuerySelect("cars", q)
+	cold, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queriesAfterCold := f.src.Stats().Queries
 
-	warm, err := f.m.QuerySelect("cars", q)
+	warm, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestAnswerCacheHitSkipsSource(t *testing.T) {
 	// The returned ResultSet must be the caller's to mutate: truncating it
 	// must not corrupt what the next caller sees.
 	warm.Certain = warm.Certain[:0]
-	again, err := f.m.QuerySelect("cars", q)
+	again, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +61,11 @@ func TestAnswerCacheKeyedByConfig(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
 
-	rs2, err := f.m.QuerySelectWith(Config{Alpha: 0, K: 2}, "cars", q)
+	rs2, err := f.m.QuerySelectWithCtx(context.Background(), Config{Alpha: 0, K: 2}, "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs10, err := f.m.QuerySelectWith(Config{Alpha: 0, K: 10}, "cars", q)
+	rs10, err := f.m.QuerySelectWithCtx(context.Background(), Config{Alpha: 0, K: 10}, "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +84,14 @@ func TestAnswerCacheInvalidatedOnRegister(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
 
-	if _, err := f.m.QuerySelect("cars", q); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	warmQueries := f.src.Stats().Queries
 
 	// Re-register the same source (e.g. after a knowledge reload).
 	f.m.Register(f.src, f.k)
-	if _, err := f.m.QuerySelect("cars", q); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.src.Stats().Queries; got <= warmQueries {
@@ -100,32 +101,35 @@ func TestAnswerCacheInvalidatedOnRegister(t *testing.T) {
 }
 
 // TestAnswerCacheDisabled proves both opt-outs: the per-query NoCache flag
-// bypasses a live cache, and CacheSize < 0 disables the cache entirely.
+// bypasses a live cache, and NoCache at New builds no cache at all, so even
+// a per-call config without NoCache runs uncached.
 func TestAnswerCacheDisabled(t *testing.T) {
 	q := convtQuery()
+	ctx := context.Background()
 
 	f := newFixture(t, Config{Alpha: 0, K: 10})
-	if _, err := f.m.QuerySelect("cars", q); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(ctx, f.m.Config(), "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	warmQueries := f.src.Stats().Queries
-	if _, err := f.m.QuerySelectWith(Config{Alpha: 0, K: 10, NoCache: true}, "cars", q); err != nil {
+	if _, err := f.m.QuerySelectWithCtx(ctx, Config{Alpha: 0, K: 10, NoCache: true}, "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.src.Stats().Queries; got <= warmQueries {
 		t.Error("NoCache query did not reach the source")
 	}
 
-	off := newFixture(t, Config{Alpha: 0, K: 10, CacheSize: -1})
-	if _, err := off.m.QuerySelect("cars", q); err != nil {
+	off := newFixture(t, Config{Alpha: 0, K: 10, NoCache: true})
+	cached := Config{Alpha: 0, K: 10}
+	if _, err := off.m.QuerySelectWithCtx(ctx, cached, "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	first := off.src.Stats().Queries
-	if _, err := off.m.QuerySelect("cars", q); err != nil {
+	if _, err := off.m.QuerySelectWithCtx(ctx, cached, "cars", q); err != nil {
 		t.Fatal(err)
 	}
 	if got := off.src.Stats().Queries; got <= first {
-		t.Error("CacheSize=-1 mediator still cached")
+		t.Error("mediator built with NoCache still cached")
 	}
 	if st := off.m.CacheStats(); st != (qcache.Stats{}) {
 		t.Errorf("disabled cache stats = %+v; want zero", st)
@@ -139,7 +143,7 @@ func TestAnswerCacheConcurrentIdentical(t *testing.T) {
 	f := newFixture(t, Config{Alpha: 0, K: 10})
 	q := convtQuery()
 
-	baseline, err := f.m.QuerySelect("cars", q)
+	baseline, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +156,7 @@ func TestAnswerCacheConcurrentIdentical(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 4; r++ {
-				rs, err := f.m.QuerySelect("cars", q)
+				rs, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 				if err != nil {
 					errs <- err
 					return
@@ -252,7 +256,7 @@ func TestCachedAnswersNeverAliasStore(t *testing.T) {
 	q := convtQuery()
 	pristine := f.ed.Clone()
 
-	cold, err := f.m.QuerySelect("cars", q)
+	cold, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ type Config struct {
 	// reliable sources, since capability and budget refusals never retry.
 	Retry RetryPolicy
 	// TopN, when > 0, arms the streaming executor's confidence-bound early
-	// termination (SelectStream): once TopN possible answers have been
+	// termination (SelectStreamWith): once TopN possible answers have been
 	// emitted, no unissued rewrite — every one of which has estimated
 	// precision at most that of the answers already out — can improve the
 	// top-N, so the remaining rewrites are skipped and in-flight ones are
@@ -98,12 +98,12 @@ type Config struct {
 	TopN int
 	// NoCache bypasses the mediator answer cache for calls made under this
 	// config: the query runs the full pipeline and its result is not stored.
-	// Per-request bypass (the HTTP "no_cache" field, the CLI -no-cache flag)
-	// sets this on the per-call config.
+	// Per-request bypass (the HTTP "no_cache" field) sets this on the
+	// per-call config. Set on the config passed to New, it builds no cache
+	// at all, so no call can use one.
 	NoCache bool
-	// CacheSize bounds the mediator answer cache (entries). 0 means the
-	// default (1024); negative disables the cache entirely — unlike NoCache
-	// this also turns off singleflight collapsing of concurrent duplicates.
+	// CacheSize bounds the mediator answer cache (entries). 0 or less means
+	// the default (1024).
 	CacheSize int
 	// Breaker, when non-nil, attaches a per-source circuit breaker with
 	// this configuration to every registered source: open circuits reject
@@ -329,15 +329,14 @@ type Mediator struct {
 	// mu guards the sources and knowledge maps: Register (including
 	// knowledge reload mid-serve — the chaos harness swaps knowledge files
 	// under live traffic) takes the write lock, every query path reads
-	// through the lookup accessors under the read lock. SetConfig is a
-	// setup-time operation and is NOT safe concurrently with queries (it
-	// also swaps the answer cache and rebuilds breakers).
+	// through the lookup accessors under the read lock. cfg and cache are
+	// fixed at New.
 	mu        sync.RWMutex
 	sources   map[string]*source.Source
 	knowledge map[string]*Knowledge
-	// cache memoizes full QuerySelect results keyed by (source, query key,
-	// config fingerprint) with singleflight collapsing of concurrent
-	// identical queries. nil when Config.CacheSize < 0.
+	// cache memoizes full QuerySelectWithCtx results keyed by (source,
+	// query key, config fingerprint) with singleflight collapsing of
+	// concurrent identical queries. nil when New's Config.NoCache is set.
 	cache *qcache.Cache
 	// staleServed counts answers served by the stale-cache fallback.
 	staleServed atomic.Int64
@@ -350,26 +349,22 @@ type Mediator struct {
 	plannerSkipped   atomic.Int64
 }
 
-// New creates a mediator.
+// New creates a mediator. Its configuration is fixed from here on: calls
+// that need other α/K/ordering settings pass their own Config.
 func New(cfg Config) *Mediator {
-	return &Mediator{
+	m := &Mediator{
 		cfg:       cfg,
 		sources:   make(map[string]*source.Source),
 		knowledge: make(map[string]*Knowledge),
-		cache:     newAnswerCache(cfg),
 	}
-}
-
-// newAnswerCache builds the answer cache for cfg, or nil when disabled.
-func newAnswerCache(cfg Config) *qcache.Cache {
-	if cfg.CacheSize < 0 {
-		return nil
+	if !cfg.NoCache {
+		m.cache = qcache.New(qcache.Config{
+			Capacity: cfg.CacheSize,
+			FreshTTL: cfg.CacheTTL,
+			Clock:    cfg.Clock,
+		})
 	}
-	return qcache.New(qcache.Config{
-		Capacity: cfg.CacheSize,
-		FreshTTL: cfg.CacheTTL,
-		Clock:    cfg.Clock,
-	})
+	return m
 }
 
 // newBreaker builds the per-source breaker for cfg, or nil when admission
@@ -387,22 +382,6 @@ func newBreaker(cfg Config, name string) *breaker.Breaker {
 
 // Config returns the mediator's configuration.
 func (m *Mediator) Config() Config { return m.cfg }
-
-// SetConfig replaces the rewriting/ranking configuration (α and K are
-// user- and source-dependent knobs; see Section 4.1). The answer cache is
-// rebuilt: entries are keyed by config fingerprint so stale reuse cannot
-// happen either way, but a fresh cache also applies a changed CacheSize.
-// Per-source breakers are likewise rebuilt (or detached when cfg.Breaker
-// is nil), starting every source closed with an empty failure window.
-func (m *Mediator) SetConfig(cfg Config) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cfg = cfg
-	m.cache = newAnswerCache(cfg)
-	for name, src := range m.sources {
-		src.SetBreaker(newBreaker(cfg, name))
-	}
-}
 
 // Register adds a source with its mined knowledge. Knowledge may be nil for
 // sources that are only ever queried through correlated knowledge

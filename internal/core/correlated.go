@@ -68,7 +68,7 @@ func (m *Mediator) FindCorrelatedSource(target, attr string) (CorrelatedPlan, bo
 	return best, best.Confidence >= 0
 }
 
-// QuerySelectCorrelated retrieves relevant possible answers for q from a
+// QuerySelectCorrelatedCtx retrieves relevant possible answers for q from a
 // source that does not support q's constrained attribute, using the base
 // set and knowledge of a correlated source (Section 4.3). q must constrain
 // exactly one attribute (the unsupported one); remaining predicates, if
@@ -78,14 +78,9 @@ func (m *Mediator) FindCorrelatedSource(target, attr string) (CorrelatedPlan, bo
 // all, every retrieved tuple is a possible answer (there is no post-filter
 // on a null we cannot see); tuples are ranked by their retrieving query's
 // precision as usual.
-func (m *Mediator) QuerySelectCorrelated(targetSrc string, q relation.Query) (*ResultSet, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QuerySelectCorrelatedCtx
-	return m.QuerySelectCorrelatedCtx(context.Background(), targetSrc, q)
-}
-
-// QuerySelectCorrelatedCtx is QuerySelectCorrelated under a caller-supplied
-// context: cancelling ctx aborts in-flight source attempts and retry
-// backoffs promptly.
+//
+// Cancelling ctx aborts in-flight source attempts and retry backoffs
+// promptly.
 func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc string, q relation.Query) (*ResultSet, error) {
 	sk, _, ok := m.lookup(targetSrc)
 	if !ok {
@@ -103,7 +98,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 	}
 	if unsupported == "" {
 		// Everything is supported; the normal path applies.
-		return nil, fmt.Errorf("core: source %q supports all query attributes; use QuerySelect", targetSrc)
+		return nil, fmt.Errorf("core: source %q supports all query attributes; use QuerySelectWithCtx", targetSrc)
 	}
 	plan, ok := m.FindCorrelatedSource(targetSrc, unsupported)
 	if !ok {
@@ -124,7 +119,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 
 	// Step 2: rewrites from Sc's knowledge, issued to Sk. Only rewrites
 	// targeting the unsupported attribute are usable on Sk.
-	cands := m.generateRewrites(k, q, base, sc.Schema())
+	cands := GenerateRewrites(k, q, base, sc.Schema())
 	usable := cands[:0]
 	for _, c := range cands {
 		if c.TargetAttr == unsupported {
@@ -132,7 +127,7 @@ func (m *Mediator) QuerySelectCorrelatedCtx(ctx context.Context, targetSrc strin
 		}
 	}
 	rs.Generated = len(usable)
-	chosen := m.scoreAndSelect(usable)
+	chosen := ScoreAndSelect(usable, m.cfg.Alpha, m.cfg.K, m.cfg.Ordering)
 
 	issueQs := make([]relation.Query, len(chosen))
 	for i, rq := range chosen {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"qpiad/internal/relation"
@@ -60,7 +61,7 @@ func TestFindCorrelatedSource(t *testing.T) {
 func TestQuerySelectCorrelated(t *testing.T) {
 	f, ysrc, truth := newCorrelatedFixture(t, Config{Alpha: 0, K: 10})
 	q := relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt")))
-	rs, err := f.m.QuerySelectCorrelated("yahoo", q)
+	rs, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +102,12 @@ func TestQuerySelectCorrelated(t *testing.T) {
 
 func TestQuerySelectCorrelatedErrors(t *testing.T) {
 	f, _, _ := newCorrelatedFixture(t, DefaultConfig())
-	// Fully supported query: caller should use QuerySelect.
+	// Fully supported query: caller should use QuerySelectWithCtx.
 	q := relation.NewQuery("gs", relation.Eq("model", relation.String("Z4")))
-	if _, err := f.m.QuerySelectCorrelated("yahoo", q); err == nil {
+	if _, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo", q); err == nil {
 		t.Error("supported query should be rejected")
 	}
-	if _, err := f.m.QuerySelectCorrelated("nope", convtQuery()); err == nil {
+	if _, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "nope", convtQuery()); err == nil {
 		t.Error("unknown source should error")
 	}
 	// Two unsupported attributes cannot be served.
@@ -114,7 +115,7 @@ func TestQuerySelectCorrelatedErrors(t *testing.T) {
 		relation.Eq("body_style", relation.String("Convt")),
 		relation.Eq("certified", relation.String("yes")),
 	)
-	if _, err := f.m.QuerySelectCorrelated("yahoo", q2); err == nil {
+	if _, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo", q2); err == nil {
 		t.Error("doubly-unsupported query should error")
 	}
 }
@@ -124,7 +125,7 @@ func TestCorrelatedDeterministic(t *testing.T) {
 	run := func() []string {
 		f, _, _ := newCorrelatedFixture(t, Config{Alpha: 0, K: 5})
 		q := relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt")))
-		rs, err := f.m.QuerySelectCorrelated("yahoo", q)
+		rs, err := f.m.QuerySelectCorrelatedCtx(context.Background(), "yahoo", q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 func TestGenerateRewritesExported(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	q := convtQuery()
-	base, err := f.src.Query(q)
+	base, err := f.src.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +20,7 @@ func TestGenerateRewritesExported(t *testing.T) {
 		t.Fatal("no rewrites from exported entry point")
 	}
 	// Matches the internal path.
-	internal := f.m.generateRewrites(f.k, q, base, f.src.Schema())
+	internal := GenerateRewrites(f.k, q, base, f.src.Schema())
 	if len(got) != len(internal) {
 		t.Errorf("exported %d vs internal %d", len(got), len(internal))
 	}

@@ -21,56 +21,77 @@ func slowRetry() RetryPolicy {
 	}
 }
 
-// TestQuerySelectCtxCancelPrompt verifies that cancelling the context of
-// QuerySelectCtx aborts the pipeline promptly: with a permanently failing
-// source and a multi-second retry schedule, a 30ms context deadline must
-// surface within a small bound, as a context error.
-func TestQuerySelectCtxCancelPrompt(t *testing.T) {
-	f := newFixture(t, Config{Alpha: 1, K: 5, Retry: slowRetry()})
-	f.src.SetFaults(faults.New(faults.Profile{Seed: 1, FailFirstAttempts: 1000}))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := f.m.QuerySelectCtx(ctx, "cars", convtQuery())
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("expected error from cancelled context under permanent faults")
+// TestCancelPrompt verifies that every batch entry point threads the
+// caller's context into its source fetches: with permanently failing
+// sources and a multi-second retry schedule, a 30ms context deadline must
+// surface within a small bound, as an error wrapping
+// context.DeadlineExceeded. Streaming and chain joins are covered by
+// TestSelectStreamCancel and TestChainCancellationLazyBases.
+func TestCancelPrompt(t *testing.T) {
+	cfg := Config{Alpha: 1, K: 5, Retry: slowRetry()}
+	gs := relation.NewQuery("gs", relation.Eq("body_style", relation.String("Convt")))
+	correlated := func(t *testing.T) (*Mediator, []*source.Source) {
+		f, ysrc, _ := newCorrelatedFixture(t, cfg)
+		return f.m, []*source.Source{f.src, ysrc}
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("error should wrap context.DeadlineExceeded, got %v", err)
+	single := func(t *testing.T) (*Mediator, []*source.Source) {
+		f := newFixture(t, cfg)
+		return f.m, []*source.Source{f.src}
 	}
-	// The uncancelled schedule is 200 attempts × 50ms ≈ 10s; anything close
-	// to that means the context was dropped on the floor.
-	if elapsed > 2*time.Second {
-		t.Errorf("cancellation not prompt: took %v", elapsed)
+	cases := []struct {
+		name  string
+		setup func(*testing.T) (*Mediator, []*source.Source)
+		run   func(context.Context, *Mediator) error
+	}{
+		{"select", single, func(ctx context.Context, m *Mediator) error {
+			_, err := m.QuerySelectWithCtx(ctx, m.Config(), "cars", convtQuery())
+			return err
+		}},
+		{"aggregate", single, func(ctx context.Context, m *Mediator) error {
+			q := convtQuery()
+			q.Agg = &relation.Aggregate{Func: relation.AggCount}
+			_, err := m.QueryAggregateWithCtx(ctx, m.Config(), "cars", q, AggOptions{IncludePossible: true})
+			return err
+		}},
+		{"correlated", correlated, func(ctx context.Context, m *Mediator) error {
+			_, err := m.QuerySelectCorrelatedCtx(ctx, "yahoo", gs)
+			return err
+		}},
+		{"global", correlated, func(ctx context.Context, m *Mediator) error {
+			_, err := m.QuerySelectGlobalCtx(ctx, gs)
+			return err
+		}},
+		{"join", func(t *testing.T) (*Mediator, []*source.Source) {
+			f := newJoinFixture(t, cfg)
+			return f.m, []*source.Source{f.src, f.csrc}
+		}, func(ctx context.Context, m *Mediator) error {
+			_, err := m.QueryJoinCtx(ctx, joinSpec(0.5, 10))
+			return err
+		}},
 	}
-}
-
-// TestQuerySelectCtxBackgroundEquivalence pins the wrapper contract:
-// QuerySelect and QuerySelectCtx(Background) produce identical results.
-func TestQuerySelectCtxBackgroundEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NoCache = true
-	f := newFixture(t, cfg)
-	a, err := f.m.QuerySelect("cars", convtQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := f.m.QuerySelectCtx(context.Background(), "cars", convtQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Certain) != len(b.Certain) || len(a.Possible) != len(b.Possible) ||
-		len(a.Unranked) != len(b.Unranked) || len(a.Issued) != len(b.Issued) {
-		t.Fatalf("QuerySelect and QuerySelectCtx(Background) diverge: %d/%d/%d/%d vs %d/%d/%d/%d",
-			len(a.Certain), len(a.Possible), len(a.Unranked), len(a.Issued),
-			len(b.Certain), len(b.Possible), len(b.Unranked), len(b.Issued))
-	}
-	for i := range a.Possible {
-		if a.Possible[i].Tuple.Key() != b.Possible[i].Tuple.Key() {
-			t.Fatalf("possible answer %d differs", i)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, srcs := tc.setup(t)
+			for _, src := range srcs {
+				src.SetFaults(faults.New(faults.Profile{Seed: 1, FailFirstAttempts: 1000}))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			err := tc.run(ctx, m)
+			elapsed := time.Since(start)
+			if err == nil {
+				t.Fatal("expected error from cancelled context under permanent faults")
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("error should wrap context.DeadlineExceeded, got %v", err)
+			}
+			// The uncancelled schedule is 200 attempts × 50ms ≈ 10s; anything
+			// close to that means the context was dropped on the floor.
+			if elapsed > 2*time.Second {
+				t.Errorf("cancellation not prompt: took %v", elapsed)
+			}
+		})
 	}
 }
 
@@ -97,29 +118,5 @@ func TestFetchAllParallelCtxCancel(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Errorf("parallel cancellation not prompt: took %v", elapsed)
-	}
-}
-
-// TestQueryAggregateCtxCancelPrompt covers the aggregate pipeline's context
-// threading the same way.
-func TestQueryAggregateCtxCancelPrompt(t *testing.T) {
-	f := newFixture(t, Config{Alpha: 1, K: 5, Retry: slowRetry()})
-	f.src.SetFaults(faults.New(faults.Profile{Seed: 3, FailFirstAttempts: 1000}))
-	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
-	q.Agg = &relation.Aggregate{Func: relation.AggCount}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := f.m.QueryAggregateCtx(ctx, "cars", q, AggOptions{IncludePossible: true})
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("expected error from cancelled context under permanent faults")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("error should wrap context.DeadlineExceeded, got %v", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Errorf("cancellation not prompt: took %v", elapsed)
 	}
 }

@@ -47,7 +47,7 @@ func TestDedupUnderIsNull(t *testing.T) {
 				continue
 			}
 			q := relation.NewQuery("cars", relation.IsNull(nullAttr), relation.Eq(other, v))
-			rs, err := m.QuerySelect("cars", q)
+			rs, err := m.QuerySelectWithCtx(context.Background(), m.Config(), "cars", q)
 			if err != nil {
 				t.Fatal(err)
 			}

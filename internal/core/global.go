@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -32,21 +33,16 @@ type GlobalResult struct {
 	Degraded bool
 }
 
-// QuerySelectGlobal runs a selection query on the mediator's global schema
-// against every registered source: sources that support all constrained
-// attributes and have mined knowledge are queried directly (Section 4.2);
-// sources lacking a constrained attribute are queried through correlated
-// knowledge (Section 4.3). Possible answers are merged across sources by
-// descending confidence. At least one source must succeed, otherwise an
-// error summarizing the per-source failures is returned.
-func (m *Mediator) QuerySelectGlobal(q relation.Query) (*GlobalResult, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QuerySelectGlobalCtx
-	return m.QuerySelectGlobalCtx(context.Background(), q)
-}
-
-// QuerySelectGlobalCtx is QuerySelectGlobal under a caller-supplied context:
-// the context is threaded into every per-source selection, so cancelling it
-// stops the fan-out promptly.
+// QuerySelectGlobalCtx runs a selection query on the mediator's global
+// schema against every registered source: sources that support all
+// constrained attributes and have mined knowledge are queried directly
+// (Section 4.2); sources lacking a constrained attribute are queried
+// through correlated knowledge (Section 4.3). Possible answers are merged
+// across sources by descending confidence. ctx is threaded into every
+// per-source selection, so cancelling it stops the fan-out promptly. At
+// least one source must succeed; otherwise the returned error wraps every
+// per-source failure in source-name order, so errors.Is sees a deadline or
+// cancellation that stopped them.
 func (m *Mediator) QuerySelectGlobalCtx(ctx context.Context, q relation.Query) (*GlobalResult, error) {
 	out := &GlobalResult{
 		Query:     q,
@@ -71,7 +67,7 @@ func (m *Mediator) QuerySelectGlobalCtx(ctx context.Context, q relation.Query) (
 			err error
 		)
 		if supportsAll && k != nil {
-			rs, err = m.QuerySelectCtx(ctx, name, q)
+			rs, err = m.QuerySelectWithCtx(ctx, m.cfg, name, q)
 		} else if !supportsAll {
 			rs, err = m.QuerySelectCorrelatedCtx(ctx, name, q)
 		} else {
@@ -99,7 +95,13 @@ func (m *Mediator) QuerySelectGlobalCtx(ctx context.Context, q relation.Query) (
 		out.Unranked = append(out.Unranked, tag(rs.Unranked)...)
 	}
 	if len(out.PerSource) == 0 {
-		return nil, fmt.Errorf("core: no source could answer %s (%d failures)", q, len(out.Errors))
+		errs := make([]error, 0, len(out.Errors))
+		for _, name := range names {
+			if err, ok := out.Errors[name]; ok {
+				errs = append(errs, err)
+			}
+		}
+		return nil, fmt.Errorf("core: no source could answer %s (%d failures): %w", q, len(out.Errors), errors.Join(errs...))
 	}
 	sort.SliceStable(out.Possible, func(i, j int) bool {
 		return out.Possible[i].Confidence > out.Possible[j].Confidence

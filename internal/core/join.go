@@ -106,18 +106,12 @@ func sideEstimate(name string, k *Knowledge, q relation.Query, attr string) plan
 	return sd
 }
 
-// QueryJoin processes a join query per Section 4.5: retrieve both base
+// QueryJoinCtx processes a join query per Section 4.5: retrieve both base
 // sets, generate rewrites on each side, score all query pairs by combined
 // precision and join-aware estimated selectivity, issue the top-K pairs,
 // and join their results — predicting missing join values with the NBC
-// predictors.
-func (m *Mediator) QueryJoin(spec JoinSpec) (*JoinResult, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QueryJoinCtx
-	return m.QueryJoinCtx(context.Background(), spec)
-}
-
-// QueryJoinCtx is QueryJoin under a caller-supplied context: cancelling ctx
-// aborts in-flight source attempts and retry backoffs promptly.
+// predictors. Cancelling ctx aborts in-flight source attempts and retry
+// backoffs promptly.
 func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult, error) {
 	ls, lk, err := m.lookupKnown(spec.LeftSource)
 	if err != nil {
@@ -174,8 +168,8 @@ func (m *Mediator) QueryJoinCtx(ctx context.Context, spec JoinSpec) (*JoinResult
 	}
 
 	// Step 2: rewrites per side.
-	lunits := m.buildUnits(lk, spec.LeftQuery, lbase, ls.Schema(), spec.LeftJoinAttr)
-	runits := m.buildUnits(rk, spec.RightQuery, rbase, rsrc.Schema(), spec.RightJoinAttr)
+	lunits := buildUnits(lk, spec.LeftQuery, lbase, ls.Schema(), spec.LeftJoinAttr)
+	runits := buildUnits(rk, spec.RightQuery, rbase, rsrc.Schema(), spec.RightJoinAttr)
 
 	// Step 3+4: score all pairs, keep top-K.
 	pairs := scorePairs(lunits, runits, spec.Alpha, spec.K)
@@ -444,7 +438,7 @@ func (idx joinIndex) probe(probe []joinEntry, emit func(p, b int)) {
 // buildUnits assembles Q∪Q′ for one side of the join: the complete query
 // (precision 1, true selectivity, empirical join distribution) plus every
 // rewritten query with its predicted join-attribute distribution (step 3a).
-func (m *Mediator) buildUnits(k *Knowledge, q relation.Query, base []relation.Tuple, s *relation.Schema, joinAttr string) []queryUnit {
+func buildUnits(k *Knowledge, q relation.Query, base []relation.Tuple, s *relation.Schema, joinAttr string) []queryUnit {
 	units := []queryUnit{{
 		complete: true,
 		query:    q,
@@ -453,7 +447,7 @@ func (m *Mediator) buildUnits(k *Knowledge, q relation.Query, base []relation.Tu
 		jd:       empiricalDistribution(s, base, joinAttr),
 	}}
 	pred := k.Predictors[joinAttr]
-	for _, rq := range m.generateRewrites(k, q, base, s) {
+	for _, rq := range GenerateRewrites(k, q, base, s) {
 		u := queryUnit{rq: rq, query: rq.Query, prec: rq.Precision, estSel: rq.EstSel}
 		switch {
 		case rq.TargetAttr == joinAttr:

@@ -64,20 +64,15 @@ type ChainResult struct {
 	Explain *planner.Explain
 }
 
-// QueryJoinChain processes an n-way chain join. Each adjacency is planned
+// QueryJoinChainCtx processes an n-way chain join. Each adjacency is planned
 // exactly like a two-way join (Section 4.5): complete queries plus
 // rewrites on both sides, pair scoring over join-attribute distributions,
 // top-K pair selection. The union of selected component queries per source
 // determines what is retrieved; the retrieved answer sets are then chained
 // with a hash join per adjacency, predicting missing join values with the
 // NBC predictors.
-func (m *Mediator) QueryJoinChain(spec ChainSpec) (*ChainResult, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QueryJoinChainCtx
-	return m.QueryJoinChainCtx(context.Background(), spec)
-}
-
-// QueryJoinChainCtx is QueryJoinChain under a caller-supplied context:
-// cancelling ctx aborts in-flight source attempts and retry backoffs.
+//
+// Cancelling ctx aborts in-flight source attempts and retry backoffs.
 //
 // Execution is planner-aware. Adjacencies are estimated from mined
 // statistics, ordered by planner.PlanChain when Config.Planner is enabled
@@ -181,8 +176,8 @@ func (m *Mediator) QueryJoinChainCtx(ctx context.Context, spec ChainSpec) (*Chai
 			return nil, err
 		}
 		lAttr, rAttr := spec.JoinAttrs[a][0], spec.JoinAttrs[a][1]
-		lu := m.buildUnits(sides[a].k, spec.Queries[a], sides[a].base, sides[a].src.Schema(), lAttr)
-		ru := m.buildUnits(sides[a+1].k, spec.Queries[a+1], sides[a+1].base, sides[a+1].src.Schema(), rAttr)
+		lu := buildUnits(sides[a].k, spec.Queries[a], sides[a].base, sides[a].src.Schema(), lAttr)
+		ru := buildUnits(sides[a+1].k, spec.Queries[a+1], sides[a+1].base, sides[a+1].src.Schema(), rAttr)
 		pairs := scorePairs(lu, ru, spec.Alpha, spec.K)
 		res.PairsPerAdjacency[a] = len(pairs)
 		for _, p := range pairs {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -89,7 +90,7 @@ func pairChainSpec(alpha float64, k int) ChainSpec {
 
 func TestChainJoinBasic(t *testing.T) {
 	f := newChainFixture(t)
-	res, err := f.m.QueryJoinChain(chainSpec(0.5, 8))
+	res, err := f.m.QueryJoinChainCtx(context.Background(), chainSpec(0.5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestChainJoinBasic(t *testing.T) {
 
 func TestChainJoinIncludesPredictedLinks(t *testing.T) {
 	f := newChainFixture(t)
-	res, err := f.m.QueryJoinChain(pairChainSpec(2, 10))
+	res, err := f.m.QueryJoinChainCtx(context.Background(), pairChainSpec(2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestChainJoinIncludesPredictedLinks(t *testing.T) {
 
 func TestChainJoinOrdering(t *testing.T) {
 	f := newChainFixture(t)
-	res, err := f.m.QueryJoinChain(chainSpec(1, 8))
+	res, err := f.m.QueryJoinChainCtx(context.Background(), chainSpec(1, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestChainJoinOrdering(t *testing.T) {
 // TestChainJoinTwoWayDegenerate relates a 2-source chain to the pairwise
 // join over the same selections. The chain may return more: it retrieves
 // the union of each side's selected component queries and joins those
-// answer sets wholesale, while QueryJoin joins only the selected query
+// answer sets wholesale, while QueryJoinCtx joins only the selected query
 // pairs. So every pairwise answer must appear in the chain with the same
 // Confidence and Certain flag, and the chain may add pairs the top-K pair
 // budget left out.
@@ -189,11 +190,11 @@ func TestChainJoinTwoWayDegenerate(t *testing.T) {
 		k     int
 	}{{0, 4}, {0.5, 8}, {2, 10}, {0.5, 2}} {
 		spec := pairChainSpec(tc.alpha, tc.k)
-		chain, err := f.m.QueryJoinChain(spec)
+		chain, err := f.m.QueryJoinChainCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair, err := f.m.QueryJoin(JoinSpec{
+		pair, err := f.m.QueryJoinCtx(context.Background(), JoinSpec{
 			LeftSource: spec.Sources[0], RightSource: spec.Sources[1],
 			LeftQuery: spec.Queries[0], RightQuery: spec.Queries[1],
 			LeftJoinAttr: spec.JoinAttrs[0][0], RightJoinAttr: spec.JoinAttrs[0][1],
@@ -227,22 +228,22 @@ func TestChainJoinValidation(t *testing.T) {
 	f := newChainFixture(t)
 	bad := chainSpec(0.5, 8)
 	bad.Sources = bad.Sources[:1]
-	if _, err := f.m.QueryJoinChain(bad); err == nil {
+	if _, err := f.m.QueryJoinChainCtx(context.Background(), bad); err == nil {
 		t.Error("single-source chain should error")
 	}
 	bad = chainSpec(0.5, 8)
 	bad.Queries = bad.Queries[:2]
-	if _, err := f.m.QueryJoinChain(bad); err == nil {
+	if _, err := f.m.QueryJoinChainCtx(context.Background(), bad); err == nil {
 		t.Error("query/source count mismatch should error")
 	}
 	bad = chainSpec(0.5, 8)
 	bad.Sources[2] = "nope"
-	if _, err := f.m.QueryJoinChain(bad); err == nil {
+	if _, err := f.m.QueryJoinChainCtx(context.Background(), bad); err == nil {
 		t.Error("unknown source should error")
 	}
 	bad = chainSpec(0.5, 8)
 	bad.JoinAttrs[1] = [2]string{"nope", "component"}
-	if _, err := f.m.QueryJoinChain(bad); err == nil {
+	if _, err := f.m.QueryJoinChainCtx(context.Background(), bad); err == nil {
 		t.Error("unknown join attribute should error")
 	}
 }

@@ -77,11 +77,11 @@ func TestChainPlannerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(771))
 	for trial := 0; trial < 30; trial++ {
 		spec := randomChainSpec(rng)
-		offRes, err := f.m.QueryJoinChain(spec)
+		offRes, err := f.m.QueryJoinChainCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("trial %d: planner-off: %v", trial, err)
 		}
-		onRes, err := on.QueryJoinChain(spec)
+		onRes, err := on.QueryJoinChainCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("trial %d: planner-on: %v", trial, err)
 		}
@@ -123,11 +123,11 @@ func TestJoinPlannerEquivalence(t *testing.T) {
 			Alpha:         []float64{0, 0.5, 2}[rng.Intn(3)],
 			K:             4 + rng.Intn(8),
 		}
-		offRes, err := f.m.QueryJoin(spec)
+		offRes, err := f.m.QueryJoinCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("trial %d: planner-off: %v", trial, err)
 		}
-		onRes, err := on.QueryJoin(spec)
+		onRes, err := on.QueryJoinCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("trial %d: planner-on: %v", trial, err)
 		}
@@ -153,11 +153,11 @@ func TestSelectPlannerSchedulerEquivalence(t *testing.T) {
 		sched.Register(src, f.m.knowledge[name])
 	}
 	q := convtQuery()
-	plain, err := f.m.QuerySelect("cars", q)
+	plain, err := f.m.QuerySelectWithCtx(context.Background(), f.m.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sched.QuerySelect("cars", q)
+	got, err := sched.QuerySelectWithCtx(context.Background(), sched.Config(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestChainValidationBeforeFetch(t *testing.T) {
 	m, srcs := slowChainFixture(t, 0)
 	bad := chainSpec(0.5, 8)
 	bad.JoinAttrs[1] = [2]string{"nope", "component"}
-	if _, err := m.QueryJoinChain(bad); err == nil {
+	if _, err := m.QueryJoinChainCtx(context.Background(), bad); err == nil {
 		t.Fatal("unknown join attribute should error")
 	}
 	for i, src := range srcs {
@@ -268,7 +268,7 @@ func openChainFixture(t *testing.T, plannerOn bool) (*Mediator, *source.Source) 
 func TestChainOpenCircuitAccountingParity(t *testing.T) {
 	for _, plannerOn := range []bool{false, true} {
 		m, src := openChainFixture(t, plannerOn)
-		res, err := m.QueryJoinChain(chainSpec(0.5, 8))
+		res, err := m.QueryJoinChainCtx(context.Background(), chainSpec(0.5, 8))
 		if err != nil {
 			t.Fatalf("plannerOn=%v: %v", plannerOn, err)
 		}
@@ -293,12 +293,12 @@ func TestChainOpenCircuitAccountingParity(t *testing.T) {
 }
 
 // TestJoinOpenCircuitAccounting is the two-way side of the parity: the
-// same breaker scenario through QueryJoin must produce the same
+// same breaker scenario through QueryJoinCtx must produce the same
 // accounting semantics.
 func TestJoinOpenCircuitAccounting(t *testing.T) {
 	for _, plannerOn := range []bool{false, true} {
 		m, src := openChainFixture(t, plannerOn)
-		res, err := m.QueryJoin(JoinSpec{
+		res, err := m.QueryJoinCtx(context.Background(), JoinSpec{
 			LeftSource:  "cars",
 			RightSource: "complaints",
 			LeftQuery: relation.NewQuery("cars",
@@ -338,11 +338,11 @@ func TestChainPlannerShortCircuit(t *testing.T) {
 	spec.Queries[2] = relation.NewQuery("recalls",
 		relation.Eq("severity", relation.String("zzz-none")))
 
-	offRes, err := f.m.QueryJoinChain(spec)
+	offRes, err := f.m.QueryJoinChainCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	onRes, err := on.QueryJoinChain(spec)
+	onRes, err := on.QueryJoinChainCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestChainBudgetEarlyStop(t *testing.T) {
 	const budget = 2 // base + 1 rewrite, then exhausted
 	comp := source.New("complaints", srcs[1].Relation(), source.Capabilities{MaxQueries: budget})
 	m.Register(comp, m.knowledge["complaints"])
-	res, err := m.QueryJoinChain(chainSpec(0.5, 8))
+	res, err := m.QueryJoinChainCtx(context.Background(), chainSpec(0.5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,24 +117,16 @@ func predicateHolds(pred relation.Predicate, v relation.Value) bool {
 	return false
 }
 
-// GenerateRewrites is the exported form of QPIAD's Step 2(a), used by
-// ablation experiments and introspection tooling: produce the candidate
-// rewrites for q given mined knowledge and a base result set. No ordering
-// or selection is applied.
-func GenerateRewrites(k *Knowledge, q relation.Query, base []relation.Tuple, baseSchema *relation.Schema) []RewrittenQuery {
-	var m Mediator
-	return m.generateRewrites(k, q, base, baseSchema)
-}
-
-// generateRewrites implements Step 2(a) of the QPIAD algorithm for every
+// GenerateRewrites implements Step 2(a) of the QPIAD algorithm for every
 // constrained attribute of q (the multi-attribute extension of Section
 // 4.2): for each distinct determining-set combination in the base set,
 // emit a rewrite that drops the predicate on the target attribute and adds
-// equality predicates on the unconstrained determining attributes.
+// equality predicates on the unconstrained determining attributes. No
+// ordering or selection is applied (see ScoreAndSelect).
 //
 // k supplies the AFDs, predictors and selectivity estimates; baseSchema is
 // the schema the base tuples are in (usually the source's local schema).
-func (m *Mediator) generateRewrites(k *Knowledge, q relation.Query, base []relation.Tuple, baseSchema *relation.Schema) []RewrittenQuery {
+func GenerateRewrites(k *Knowledge, q relation.Query, base []relation.Tuple, baseSchema *relation.Schema) []RewrittenQuery {
 	// One rewrite per distinct determining-set combination, and combos come
 	// from the base set — len(base)+1 bounds the map.
 	seen := make(map[string]bool, len(base)+1)
@@ -212,25 +204,12 @@ func (m *Mediator) generateRewrites(k *Knowledge, q relation.Query, base []relat
 	return out
 }
 
-// scoreAndSelect implements Steps 2(b) and 2(c): compute normalized recall
-// and F-measure over the candidate set, keep the top-K by the configured
-// ordering, then reorder the survivors by descending precision (so
-// retrieved tuples inherit their query's precision as their final rank).
-func (m *Mediator) scoreAndSelect(cands []RewrittenQuery) []RewrittenQuery {
-	return scoreAndSelectWith(m.cfg, cands)
-}
-
-// scoreAndSelectWith is scoreAndSelect under an explicit per-call config
-// (the With-variant entry points use it so concurrent requests with
-// different α/K never touch the shared mediator config).
-func scoreAndSelectWith(cfg Config, cands []RewrittenQuery) []RewrittenQuery {
-	return ScoreAndSelect(cands, cfg.Alpha, cfg.K, cfg.Ordering)
-}
-
-// ScoreAndSelect is the exported form of QPIAD's Steps 2(b) and 2(c), used
-// directly by ablation experiments: score the candidates (normalized recall
-// and F-measure), select the top-k under the given ordering policy, then
-// reorder the selection by descending precision. k <= 0 keeps everything.
+// ScoreAndSelect implements QPIAD's Steps 2(b) and 2(c): score the
+// candidates (normalized recall and F-measure), select the top-k under the
+// given ordering policy, then reorder the selection by descending precision
+// (so retrieved tuples inherit their query's precision as their final
+// rank). k <= 0 keeps everything. The candidates are scored and reordered
+// in place.
 func ScoreAndSelect(cands []RewrittenQuery, alpha float64, k int, ord Ordering) []RewrittenQuery {
 	totalThroughput := 0.0
 	for _, c := range cands {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -93,13 +94,12 @@ func TestPredicateMass(t *testing.T) {
 }
 
 func TestScoreAndSelectOrdering(t *testing.T) {
-	m := New(Config{Alpha: 0, K: 2})
 	cands := []RewrittenQuery{
 		{Query: relation.NewQuery("r", relation.Eq("x", relation.String("lowP-highS"))), Precision: 0.3, EstSel: 100},
 		{Query: relation.NewQuery("r", relation.Eq("x", relation.String("highP-lowS"))), Precision: 0.9, EstSel: 5},
 		{Query: relation.NewQuery("r", relation.Eq("x", relation.String("midP-midS"))), Precision: 0.6, EstSel: 20},
 	}
-	chosen := m.scoreAndSelect(append([]RewrittenQuery{}, cands...))
+	chosen := ScoreAndSelect(append([]RewrittenQuery{}, cands...), 0, 2, OrderFMeasure)
 	if len(chosen) != 2 {
 		t.Fatalf("top-K = %d", len(chosen))
 	}
@@ -109,8 +109,7 @@ func TestScoreAndSelectOrdering(t *testing.T) {
 	}
 
 	// α large: throughput dominates → lowP-highS must be selected.
-	m2 := New(Config{Alpha: 10, K: 2})
-	chosen2 := m2.scoreAndSelect(append([]RewrittenQuery{}, cands...))
+	chosen2 := ScoreAndSelect(append([]RewrittenQuery{}, cands...), 10, 2, OrderFMeasure)
 	found := false
 	for _, c := range chosen2 {
 		if c.Precision == 0.3 {
@@ -129,12 +128,11 @@ func TestScoreAndSelectOrdering(t *testing.T) {
 }
 
 func TestScoreAndSelectRecallNormalization(t *testing.T) {
-	m := New(Config{Alpha: 1, K: 0})
 	cands := []RewrittenQuery{
 		{Query: relation.NewQuery("r", relation.Eq("x", relation.String("a"))), Precision: 0.5, EstSel: 10},
 		{Query: relation.NewQuery("r", relation.Eq("x", relation.String("b"))), Precision: 0.5, EstSel: 30},
 	}
-	chosen := m.scoreAndSelect(cands)
+	chosen := ScoreAndSelect(cands, 1, 0, OrderFMeasure)
 	sum := 0.0
 	for _, c := range chosen {
 		sum += c.Recall
@@ -157,12 +155,12 @@ func TestScoreAndSelectRecallNormalization(t *testing.T) {
 }
 
 func TestScoreAndSelectEmptyAndZero(t *testing.T) {
-	m := New(DefaultConfig())
-	if got := m.scoreAndSelect(nil); len(got) != 0 {
+	cfg := DefaultConfig()
+	if got := ScoreAndSelect(nil, cfg.Alpha, cfg.K, cfg.Ordering); len(got) != 0 {
 		t.Error("empty candidates should return empty")
 	}
 	zero := []RewrittenQuery{{Query: relation.NewQuery("r", relation.Eq("x", relation.String("a")))}}
-	got := m.scoreAndSelect(zero)
+	got := ScoreAndSelect(zero, cfg.Alpha, cfg.K, cfg.Ordering)
 	if len(got) != 1 || got[0].F != 0 || got[0].Recall != 0 {
 		t.Errorf("zero-throughput candidate: %+v", got[0])
 	}
@@ -171,11 +169,11 @@ func TestScoreAndSelectEmptyAndZero(t *testing.T) {
 func TestGenerateRewritesDeduplicates(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	q := convtQuery()
-	base, err := f.src.Query(q)
+	base, err := f.src.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := f.m.generateRewrites(f.k, q, base, f.src.Schema())
+	cands := GenerateRewrites(f.k, q, base, f.src.Schema())
 	seen := map[string]bool{}
 	for _, c := range cands {
 		k := c.Query.Key()
@@ -198,14 +196,14 @@ func TestGenerateRewritesDeduplicates(t *testing.T) {
 func TestGenerateRewritesEmptyBase(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Nonexistent")))
-	base, err := f.src.Query(q)
+	base, err := f.src.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(base) != 0 {
 		t.Fatal("precondition: empty base set")
 	}
-	cands := f.m.generateRewrites(f.k, q, base, f.src.Schema())
+	cands := GenerateRewrites(f.k, q, base, f.src.Schema())
 	if len(cands) != 0 {
 		t.Errorf("empty base set should generate no rewrites, got %d", len(cands))
 	}
@@ -214,8 +212,8 @@ func TestGenerateRewritesEmptyBase(t *testing.T) {
 func TestRewritePrecisionMatchesPredictor(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	q := convtQuery()
-	base, _ := f.src.Query(q)
-	cands := f.m.generateRewrites(f.k, q, base, f.src.Schema())
+	base, _ := f.src.QueryCtx(context.Background(), q)
+	cands := GenerateRewrites(f.k, q, base, f.src.Schema())
 	p := f.k.Predictors["body_style"]
 	for _, c := range cands {
 		want := p.PredictEvidence(c.Evidence).Prob(relation.String("Convt"))

@@ -8,11 +8,12 @@ import (
 	"qpiad/internal/relation"
 )
 
-// This file implements the streaming selection executor. Batch QuerySelect
-// returns nothing until the last chosen rewrite has been folded and always
-// pays for the full top-K fan-out. SelectStream runs the same pipeline body
-// (runSelect in select.go) with an event callback, so it emits answers as
-// they become available while preserving exactly the batch semantics:
+// This file implements the streaming selection executor. Batch
+// QuerySelectWithCtx returns nothing until the last chosen rewrite has been
+// folded and always pays for the full top-K fan-out. SelectStreamWith runs
+// the same pipeline body (runSelect in select.go) with an event callback,
+// so it emits answers as they become available while preserving exactly
+// the batch semantics:
 //
 //   - certain answers are emitted as soon as the base query returns, before
 //     any rewriting work starts;
@@ -71,7 +72,7 @@ func (k StreamEventKind) String() string {
 	}
 }
 
-// StreamEvent is one message on a SelectStream channel. Exactly one of
+// StreamEvent is one message on a SelectStreamWith channel. Exactly one of
 // Answer, Rewrite and Summary is non-nil, per Kind.
 type StreamEvent struct {
 	Kind StreamEventKind
@@ -97,8 +98,8 @@ type StreamEvent struct {
 // the early-termination savings accounting.
 type StreamSummary struct {
 	// Result is the fully reassembled result set. With Config.TopN == 0 it
-	// is identical to what batch QuerySelect would have returned for the
-	// same query (pinned by TestSelectStreamEquivalence).
+	// is identical to what batch QuerySelectWithCtx would have returned
+	// for the same query (pinned by TestSelectStreamEquivalence).
 	Result *ResultSet
 	// EarlyStopped reports that the top-N confidence bound tripped.
 	EarlyStopped bool
@@ -119,12 +120,6 @@ type StreamSummary struct {
 // every other RewrittenQuery.Err it does NOT degrade the result set: the
 // emitted top-N is provably unaffected.
 var ErrEarlyStop = errors.New("core: rewrite not needed: top-N confidence bound met")
-
-// SelectStream is the streaming form of QuerySelect under the mediator's
-// configuration. See SelectStreamWith.
-func (m *Mediator) SelectStream(ctx context.Context, srcName string, q relation.Query) (<-chan StreamEvent, error) {
-	return m.SelectStreamWith(ctx, m.cfg, srcName, q)
-}
 
 // SelectStreamWith runs the QPIAD selection pipeline and streams its output:
 // certain answers as soon as the base query returns, possible answers

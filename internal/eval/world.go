@@ -86,7 +86,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	// transferred, retries); a transparent answer cache would absorb repeat
 	// queries and skew exactly those metrics, so worlds always run uncached.
 	cfg.Mediator.NoCache = true
-	cfg.Mediator.CacheSize = -1
 	med := core.New(cfg.Mediator)
 	med.Register(src, know)
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/afd"
@@ -56,9 +57,8 @@ func AblationOrdering(s Scale) (*Report, error) {
 		Header: []string{"Ordering", "Precision", "Recall", "Answers", "Tuples transferred"},
 	}
 	for _, ord := range []core.Ordering{core.OrderFMeasure, core.OrderSelectivity, core.OrderArbitrary} {
-		w.Med.SetConfig(core.Config{Alpha: 1, K: 5, Ordering: ord})
 		w.Src.ResetStats()
-		rs, err := w.Med.QuerySelect("cars", q)
+		rs, err := w.Med.QuerySelectWithCtx(context.Background(), core.Config{Alpha: 1, K: 5, Ordering: ord}, "cars", q)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +96,7 @@ func AblationBaseVsSample(s Scale) (*Report, error) {
 			return nil, err
 		}
 		q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
-		base, err := w.Src.Query(q)
+		base, err := w.Src.QueryCtx(context.Background(), q)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +158,7 @@ func AblationAKeyPruning(s Scale) (*Report, error) {
 		}
 		q := relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt")))
 		totalRelevant := w.RelevantPossibleCount(q)
-		rs, err := w.Med.QuerySelect("cars", q)
+		rs, err := w.Med.QuerySelectWithCtx(context.Background(), w.Med.Config(), "cars", q)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +210,7 @@ func AblationAggregateRule(s Scale) (*Report, error) {
 			if err != nil || truthRes.Value == 0 {
 				continue
 			}
-			got, err := w.Med.QueryAggregate("cars", aq, core.AggOptions{
+			got, err := w.Med.QueryAggregateWithCtx(context.Background(), w.Med.Config(), "cars", aq, core.AggOptions{
 				IncludePossible: true,
 				PredictMissing:  true,
 				Rule:            rule,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/baseline"
@@ -52,13 +53,13 @@ func prVsAllReturned(w *eval.World, q relation.Query, id, title string) (*Report
 		return nil, fmt.Errorf("%s: no relevant possible answers in world", id)
 	}
 
-	rs, err := w.Med.QuerySelect(w.Name, q)
+	rs, err := w.Med.QuerySelectWithCtx(context.Background(), w.Med.Config(), w.Name, q)
 	if err != nil {
 		return nil, err
 	}
 	qpiadPR := eval.PRCurve(w.RelevanceFlags(rs.Possible, q), totalRelevant)
 
-	ar, err := baseline.AllReturned(w.Src, q)
+	ar, err := baseline.AllReturned(context.Background(), w.Src, q)
 	if err != nil {
 		return nil, err
 	}

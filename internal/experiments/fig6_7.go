@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qpiad/internal/baseline"
@@ -70,14 +71,14 @@ func accumulatedPrecisionReport(w *eval.World, queries []relation.Query, id, tit
 			continue
 		}
 		used++
-		rs, err := w.Med.QuerySelect(w.Name, q)
+		rs, err := w.Med.QuerySelectWithCtx(context.Background(), w.Med.Config(), w.Name, q)
 		if err != nil {
 			return nil, err
 		}
 		qpiadCurves = append(qpiadCurves,
 			eval.AccumulatedPrecision(w.RelevanceFlags(rs.Possible, q), upto))
 
-		ar, err := baseline.AllReturned(w.Src, q)
+		ar, err := baseline.AllReturned(context.Background(), w.Src, q)
 		if err != nil {
 			return nil, err
 		}

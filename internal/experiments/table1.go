@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -42,7 +43,7 @@ func Table1(s Scale) (*Report, error) {
 		gd := datagen.WebCars(s.WebN, s.Seed+int64(i))
 		ed := datagen.ApplyProfile(gd, p, s.Seed+100+int64(i))
 		src := source.New(p.Name, ed, source.Capabilities{})
-		res, err := sample.Probe(src, sample.Config{
+		res, err := sample.Probe(context.Background(), src, sample.Config{
 			TargetSize: s.WebN / 10,
 			ProbeAttrs: []string{"model", "make"},
 			Seeds:      seeds,

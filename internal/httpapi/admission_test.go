@@ -336,7 +336,6 @@ func TestGracefulDrainCompletesInFlightStreams(t *testing.T) {
 	s := admissionWorld(t, AdmissionConfig{MaxInFlight: 8}, func(c *core.Config) {
 		c.Parallel = 1
 		c.NoCache = true
-		c.CacheSize = -1
 	})
 	src, _ := s.med.Source("cars")
 	// Deterministic per-query latency so the stream outlives Shutdown's start.

@@ -430,7 +430,7 @@ func TestServedBodiesMatchReference(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d: %s", resp.StatusCode, body)
 			}
-			rs, err := med.QuerySelect("cars", sel)
+			rs, err := med.QuerySelectWithCtx(context.Background(), med.Config(), "cars", sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -501,7 +501,7 @@ func TestServedBodiesMatchReference(t *testing.T) {
 		spec := core.JoinSpec{LeftSource: "cars", RightSource: "cars", LeftQuery: sel,
 			RightQuery:   relation.NewQuery("cars", relation.Eq("certified", relation.String("yes"))),
 			LeftJoinAttr: "model", RightJoinAttr: "model", K: 4}
-		res, err := med.QueryJoin(spec)
+		res, err := med.QueryJoinCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

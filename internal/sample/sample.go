@@ -14,6 +14,7 @@
 package sample
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -49,8 +50,9 @@ type Result struct {
 	PerInc float64
 }
 
-// Probe collects a sample from src by random probing queries.
-func Probe(src *source.Source, cfg Config) (*Result, error) {
+// Probe collects a sample from src by random probing queries. Cancelling
+// ctx stops probing at the next probe query.
+func Probe(ctx context.Context, src *source.Source, cfg Config) (*Result, error) {
 	if cfg.Rng == nil {
 		return nil, fmt.Errorf("sample: Config.Rng is required")
 	}
@@ -130,7 +132,7 @@ func Probe(src *source.Source, cfg Config) (*Result, error) {
 		a := candidates[cfg.Rng.Intn(len(candidates))]
 		v := pool[a][cfg.Rng.Intn(len(pool[a]))]
 		res.Probes++
-		rows, err := src.Query(relation.NewQuery(src.Name(), relation.Eq(a, v)))
+		rows, err := src.QueryCtx(ctx, relation.NewQuery(src.Name(), relation.Eq(a, v)))
 		if err != nil {
 			return nil, fmt.Errorf("sample: probe failed: %w", err)
 		}
@@ -154,14 +156,14 @@ func Probe(src *source.Source, cfg Config) (*Result, error) {
 // sample and averaging the cardinality ratios (Section 5.4). Queries with
 // empty sample results are skipped; ok is false when every probe was
 // skipped.
-func EstimateRatio(src *source.Source, smpl *relation.Relation, probes []relation.Query) (float64, bool) {
+func EstimateRatio(ctx context.Context, src *source.Source, smpl *relation.Relation, probes []relation.Query) (float64, bool) {
 	sum, n := 0.0, 0
 	for _, q := range probes {
 		inSample := len(smpl.Select(q))
 		if inSample == 0 {
 			continue
 		}
-		rows, err := src.Query(q)
+		rows, err := src.QueryCtx(ctx, q)
 		if err != nil {
 			continue
 		}

@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,7 @@ func bigRel(n int, nullEvery int) *relation.Relation {
 
 func TestProbeCollectsSample(t *testing.T) {
 	src := source.New("cars", bigRel(400, 10), source.Capabilities{})
-	res, err := Probe(src, Config{
+	res, err := Probe(context.Background(), src, Config{
 		TargetSize: 100,
 		ProbeAttrs: []string{"make", "model"},
 		Seeds:      map[string][]relation.Value{"make": {relation.String("Honda")}},
@@ -71,7 +72,7 @@ func TestProbeCollectsSample(t *testing.T) {
 func TestProbeUsesOnlySourceInterface(t *testing.T) {
 	// A budget-capped source proves Probe goes through Query.
 	src := source.New("cars", bigRel(400, 0), source.Capabilities{MaxQueries: 3})
-	_, err := Probe(src, Config{
+	_, err := Probe(context.Background(), src, Config{
 		TargetSize: 1000,
 		ProbeAttrs: []string{"make"},
 		Seeds:      map[string][]relation.Value{"make": {relation.String("Honda")}},
@@ -84,7 +85,7 @@ func TestProbeUsesOnlySourceInterface(t *testing.T) {
 
 func TestProbeNoSeeds(t *testing.T) {
 	src := source.New("cars", bigRel(50, 0), source.Capabilities{})
-	_, err := Probe(src, Config{
+	_, err := Probe(context.Background(), src, Config{
 		TargetSize: 10,
 		ProbeAttrs: []string{"make"},
 		Rng:        rand.New(rand.NewSource(3)),
@@ -96,17 +97,17 @@ func TestProbeNoSeeds(t *testing.T) {
 
 func TestProbeValidation(t *testing.T) {
 	src := source.New("cars", bigRel(50, 0), source.Capabilities{})
-	if _, err := Probe(src, Config{TargetSize: 10}); err == nil {
+	if _, err := Probe(context.Background(), src, Config{TargetSize: 10}); err == nil {
 		t.Error("nil Rng should error")
 	}
-	if _, err := Probe(src, Config{Rng: rand.New(rand.NewSource(1))}); err == nil {
+	if _, err := Probe(context.Background(), src, Config{Rng: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("zero TargetSize should error")
 	}
 }
 
 func TestProbeDefaultsToBindableAttrs(t *testing.T) {
 	src := source.New("cars", bigRel(200, 0), source.Capabilities{BindableAttrs: []string{"make"}})
-	res, err := Probe(src, Config{
+	res, err := Probe(context.Background(), src, Config{
 		TargetSize: 50,
 		Seeds:      map[string][]relation.Value{"make": {relation.String("Honda"), relation.String("BMW"), relation.String("Toyota"), relation.String("Audi")}},
 		Rng:        rand.New(rand.NewSource(4)),
@@ -121,7 +122,7 @@ func TestProbeDefaultsToBindableAttrs(t *testing.T) {
 
 func TestProbeRespectsMaxProbes(t *testing.T) {
 	src := source.New("cars", bigRel(400, 0), source.Capabilities{MaxResults: 1})
-	res, err := Probe(src, Config{
+	res, err := Probe(context.Background(), src, Config{
 		TargetSize: 300,
 		MaxProbes:  5,
 		ProbeAttrs: []string{"make"},
@@ -145,7 +146,7 @@ func TestEstimateRatio(t *testing.T) {
 		relation.NewQuery("cars", relation.Eq("make", relation.String("Honda"))),
 		relation.NewQuery("cars", relation.Eq("make", relation.String("BMW"))),
 	}
-	ratio, ok := EstimateRatio(src, smpl, probes)
+	ratio, ok := EstimateRatio(context.Background(), src, smpl, probes)
 	if !ok {
 		t.Fatal("ratio estimation failed")
 	}
@@ -162,7 +163,7 @@ func TestEstimateRatioNoUsableProbes(t *testing.T) {
 	probes := []relation.Query{
 		relation.NewQuery("cars", relation.Eq("make", relation.String("Honda"))),
 	}
-	if _, ok := EstimateRatio(src, smpl, probes); ok {
+	if _, ok := EstimateRatio(context.Background(), src, smpl, probes); ok {
 		t.Error("empty sample results should yield ok=false")
 	}
 }

@@ -99,7 +99,7 @@ func TestTimeoutFaultBlocksUntilDeadline(t *testing.T) {
 func TestFaultTruncation(t *testing.T) {
 	src := New("cars", carRel(), Capabilities{})
 	src.SetFaults(faults.New(faults.Profile{Seed: 1, TruncateRate: 1, TruncateTo: 1}))
-	rows, err := src.Query(bmwQuery())
+	rows, err := src.QueryCtx(context.Background(), bmwQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestBucketBound(t *testing.T) {
 func TestResetStatsClearsEverything(t *testing.T) {
 	src := New("cars", carRel(), Capabilities{})
 	src.SetFaults(faults.New(faults.Profile{Seed: 1, TransientRate: 1}))
-	_, _ = src.Query(bmwQuery())
+	_, _ = src.QueryCtx(context.Background(), bmwQuery())
 	src.ResetStats()
 	if src.Stats() != (Stats{}) {
 		t.Errorf("stats after reset = %+v", src.Stats())
@@ -253,7 +253,7 @@ func TestResetStatsClearsEverything(t *testing.T) {
 func TestQueryCtxMatchesQuery(t *testing.T) {
 	a := New("cars", carRel(), Capabilities{})
 	b := New("cars", carRel(), Capabilities{})
-	ra, errA := a.Query(bmwQuery())
+	ra, errA := a.QueryCtx(context.Background(), bmwQuery())
 	rb, errB := b.QueryCtx(context.Background(), bmwQuery())
 	if (errA == nil) != (errB == nil) || len(ra) != len(rb) {
 		t.Fatalf("Query vs QueryCtx diverge: %v/%d vs %v/%d", errA, len(ra), errB, len(rb))
@@ -268,11 +268,11 @@ func TestQueryCtxMatchesQuery(t *testing.T) {
 func TestBudgetRejectionFast(t *testing.T) {
 	src := New("cars", carRel(), Capabilities{MaxQueries: 1, Latency: 50 * time.Millisecond})
 	src.SetFaults(faults.New(faults.Profile{Seed: 1, LatencyJitter: 50 * time.Millisecond}))
-	if _, err := src.Query(bmwQuery()); err != nil {
+	if _, err := src.QueryCtx(context.Background(), bmwQuery()); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err := src.Query(bmwQuery())
+	_, err := src.QueryCtx(context.Background(), bmwQuery())
 	if !errors.Is(err, ErrQueryBudget) {
 		t.Fatalf("want ErrQueryBudget, got %v", err)
 	}

@@ -314,17 +314,10 @@ func signalAdmit(ctx context.Context) {
 	}
 }
 
-// Query runs q against the source under its capability profile and returns
-// copies of the matching tuples (the "transferred" rows). It is QueryCtx
-// without deadline or cancellation.
-func (s *Source) Query(q relation.Query) ([]relation.Tuple, error) {
-	//lint:allow ctxflow audited root: context-free convenience wrapper over QueryCtx
-	return s.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx runs q under the capability profile, honoring the context's
-// deadline/cancellation, the attached fault injector, and the attached
-// circuit breaker. Aggregate parts of q are ignored: autonomous web
+// QueryCtx runs q against the source under its capability profile and
+// returns copies of the matching tuples (the "transferred" rows), honoring
+// the context's deadline/cancellation, the attached fault injector, and
+// the attached circuit breaker. Aggregate parts of q are ignored: autonomous web
 // sources return tuples, and the mediator aggregates. Rejected queries —
 // capability refusals and open-circuit admission refusals alike — do not
 // consume budget and pay no latency; accepted attempts are accounted

@@ -1,6 +1,7 @@
 package source
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func carRel() *relation.Relation {
 
 func TestQueryBasic(t *testing.T) {
 	src := New("cars", carRel(), Capabilities{})
-	rows, err := src.Query(relation.NewQuery("cars", relation.Eq("make", relation.String("BMW"))))
+	rows, err := src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.Eq("make", relation.String("BMW"))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestQueryBasic(t *testing.T) {
 func TestQueryReturnsCopies(t *testing.T) {
 	rel := carRel()
 	src := New("cars", rel, Capabilities{})
-	rows, err := src.Query(relation.NewQuery("cars", relation.Eq("make", relation.String("Audi"))))
+	rows, err := src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.Eq("make", relation.String("Audi"))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestFormSemanticsExcludeNullsOnBoundAttr(t *testing.T) {
 	// A form query body_style=Convt must not return the tuples whose
 	// body_style is null — that is exactly why QPIAD needs rewriting.
 	src := New("cars", carRel(), Capabilities{})
-	rows, err := src.Query(relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt"))))
+	rows, err := src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.Eq("body_style", relation.String("Convt"))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestFormSemanticsExcludeNullsOnBoundAttr(t *testing.T) {
 		t.Fatalf("certain answers = %d, want 2", len(rows))
 	}
 	// But a query on model=Z4 returns the Z4 with null body_style.
-	rows, err = src.Query(relation.NewQuery("cars", relation.Eq("model", relation.String("Z4"))))
+	rows, err = src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.Eq("model", relation.String("Z4"))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestFormSemanticsExcludeNullsOnBoundAttr(t *testing.T) {
 
 func TestNullBindingRefused(t *testing.T) {
 	src := New("cars", carRel(), Capabilities{})
-	_, err := src.Query(relation.NewQuery("cars", relation.IsNull("body_style")))
+	_, err := src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.IsNull("body_style")))
 	if !errors.Is(err, ErrNullBinding) {
 		t.Fatalf("err = %v, want ErrNullBinding", err)
 	}
@@ -89,7 +90,7 @@ func TestNullBindingRefused(t *testing.T) {
 	}
 	// With AllowNullBinding the same query succeeds.
 	src2 := New("cars", carRel(), Capabilities{AllowNullBinding: true})
-	rows, err := src2.Query(relation.NewQuery("cars", relation.IsNull("body_style")))
+	rows, err := src2.QueryCtx(context.Background(), relation.NewQuery("cars", relation.IsNull("body_style")))
 	if err != nil || len(rows) != 2 {
 		t.Errorf("null binding allowed: rows=%d err=%v", len(rows), err)
 	}
@@ -100,12 +101,12 @@ func TestBindableAttrs(t *testing.T) {
 	if !src.Supports("make") || src.Supports("year") {
 		t.Error("Supports misreads bindable attrs")
 	}
-	_, err := src.Query(relation.NewQuery("cars", relation.Eq("year", relation.Int(2002))))
+	_, err := src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.Eq("year", relation.Int(2002))))
 	if !errors.Is(err, ErrUnsupportedAttr) {
 		t.Fatalf("err = %v, want ErrUnsupportedAttr", err)
 	}
 	// Unknown attribute also unsupported.
-	_, err = src.Query(relation.NewQuery("cars", relation.Eq("price", relation.Int(1))))
+	_, err = src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.Eq("price", relation.Int(1))))
 	if !errors.Is(err, ErrUnsupportedAttr) {
 		t.Fatalf("err = %v, want ErrUnsupportedAttr", err)
 	}
@@ -113,19 +114,19 @@ func TestBindableAttrs(t *testing.T) {
 
 func TestRangeRefusal(t *testing.T) {
 	src := New("cars", carRel(), Capabilities{DisallowRange: true})
-	_, err := src.Query(relation.NewQuery("cars", relation.Between("year", relation.Int(2001), relation.Int(2003))))
+	_, err := src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.Between("year", relation.Int(2001), relation.Int(2003))))
 	if !errors.Is(err, ErrRangeBinding) {
 		t.Fatalf("err = %v, want ErrRangeBinding", err)
 	}
 	// Equality still fine.
-	if _, err := src.Query(relation.NewQuery("cars", relation.Eq("year", relation.Int(2002)))); err != nil {
+	if _, err := src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.Eq("year", relation.Int(2002)))); err != nil {
 		t.Errorf("equality should pass: %v", err)
 	}
 }
 
 func TestMaxResults(t *testing.T) {
 	src := New("cars", carRel(), Capabilities{MaxResults: 1})
-	rows, err := src.Query(relation.NewQuery("cars", relation.Eq("make", relation.String("BMW"))))
+	rows, err := src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.Eq("make", relation.String("BMW"))))
 	if err != nil || len(rows) != 1 {
 		t.Errorf("MaxResults: rows=%d err=%v", len(rows), err)
 	}
@@ -135,11 +136,11 @@ func TestQueryBudget(t *testing.T) {
 	src := New("cars", carRel(), Capabilities{MaxQueries: 2})
 	q := relation.NewQuery("cars", relation.Eq("make", relation.String("BMW")))
 	for i := 0; i < 2; i++ {
-		if _, err := src.Query(q); err != nil {
+		if _, err := src.QueryCtx(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := src.Query(q)
+	_, err := src.QueryCtx(context.Background(), q)
 	if !errors.Is(err, ErrQueryBudget) {
 		t.Fatalf("err = %v, want ErrQueryBudget", err)
 	}
@@ -147,7 +148,7 @@ func TestQueryBudget(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	src := New("cars", carRel(), Capabilities{})
-	src.Query(relation.NewQuery("cars", relation.Eq("make", relation.String("BMW"))))
+	src.QueryCtx(context.Background(), relation.NewQuery("cars", relation.Eq("make", relation.String("BMW"))))
 	src.ResetStats()
 	if src.Stats() != (Stats{}) {
 		t.Errorf("ResetStats: %+v", src.Stats())
@@ -156,7 +157,7 @@ func TestResetStats(t *testing.T) {
 
 func TestEmptyQueryReturnsAll(t *testing.T) {
 	src := New("cars", carRel(), Capabilities{})
-	rows, err := src.Query(relation.NewQuery("cars"))
+	rows, err := src.QueryCtx(context.Background(), relation.NewQuery("cars"))
 	if err != nil || len(rows) != 5 {
 		t.Errorf("empty query rows=%d err=%v", len(rows), err)
 	}
@@ -170,7 +171,7 @@ func TestConcurrentAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			src.Query(q)
+			src.QueryCtx(context.Background(), q)
 		}()
 	}
 	wg.Wait()

@@ -17,7 +17,7 @@
 //	sys := qpiad.New(qpiad.Config{Alpha: 0, K: 10})
 //	sys.AddSource("cars", carsRelation, qpiad.Capabilities{})
 //	if err := sys.LearnFromSample("cars", sampleRelation); err != nil { ... }
-//	rs, err := sys.Query("cars", qpiad.NewQuery("cars",
+//	rs, err := sys.Query(ctx, "cars", qpiad.NewQuery("cars",
 //	    qpiad.Eq("body_style", qpiad.String("Convt"))))
 //	// rs.Certain — exact matches; rs.Possible — ranked possible answers.
 //
@@ -361,25 +361,21 @@ func New(cfg Config) *System {
 	if k < 0 {
 		k = 0 // core interprets 0 as unlimited
 	}
-	ccfg := core.Config{
-		Alpha:     cfg.Alpha,
-		K:         k,
-		TopN:      cfg.TopN,
-		Parallel:  cfg.Parallel,
-		Retry:     cfg.Retry,
-		CacheSize: cfg.CacheSize,
-		Breaker:   cfg.Breaker,
-		CacheTTL:  cfg.CacheTTL,
-		StaleTTL:  cfg.StaleTTL,
-		Planner:   cfg.Planner,
-	}
-	if cfg.NoCache {
-		ccfg.NoCache = true
-		ccfg.CacheSize = -1
-	}
 	return &System{
 		cfg: cfg,
-		med: core.New(ccfg),
+		med: core.New(core.Config{
+			Alpha:     cfg.Alpha,
+			K:         k,
+			TopN:      cfg.TopN,
+			Parallel:  cfg.Parallel,
+			Retry:     cfg.Retry,
+			NoCache:   cfg.NoCache,
+			CacheSize: cfg.CacheSize,
+			Breaker:   cfg.Breaker,
+			CacheTTL:  cfg.CacheTTL,
+			StaleTTL:  cfg.StaleTTL,
+			Planner:   cfg.Planner,
+		}),
 	}
 }
 
@@ -412,6 +408,9 @@ func (s *System) LearnFromSample(name string, smpl *Relation, ratio float64) err
 	if !ok {
 		return fmt.Errorf("qpiad: unknown source %q", name)
 	}
+	if smpl == nil {
+		return fmt.Errorf("qpiad: LearnFromSample needs a sample relation for %q", name)
+	}
 	if ratio == 0 {
 		if smpl.Len() == 0 {
 			return fmt.Errorf("qpiad: empty sample for %q", name)
@@ -435,8 +434,8 @@ type ProbeConfig = sample.Config
 
 // LearnByProbing samples the source with random probing queries through
 // its restricted interface (the paper's offline knowledge-mining protocol)
-// and mines knowledge from the probed sample.
-func (s *System) LearnByProbing(name string, cfg ProbeConfig, seed int64) error {
+// and mines knowledge from the probed sample. Cancelling ctx stops probing.
+func (s *System) LearnByProbing(ctx context.Context, name string, cfg ProbeConfig, seed int64) error {
 	src, ok := s.med.Source(name)
 	if !ok {
 		return fmt.Errorf("qpiad: unknown source %q", name)
@@ -444,7 +443,7 @@ func (s *System) LearnByProbing(name string, cfg ProbeConfig, seed int64) error 
 	if cfg.Rng == nil {
 		cfg.Rng = rand.New(rand.NewSource(seed))
 	}
-	res, err := sample.Probe(src, cfg)
+	res, err := sample.Probe(ctx, src, cfg)
 	if err != nil {
 		return err
 	}
@@ -462,15 +461,10 @@ func (s *System) LearnByProbing(name string, cfg ProbeConfig, seed int64) error 
 }
 
 // Query runs the QPIAD selection algorithm: certain answers plus ranked
-// relevant possible answers (Section 4.2).
-func (s *System) Query(sourceName string, q Query) (*ResultSet, error) {
-	return s.med.QuerySelect(sourceName, q)
-}
-
-// QueryCtx is Query under a caller-supplied context: cancelling ctx aborts
-// in-flight source attempts and retry backoffs promptly.
-func (s *System) QueryCtx(ctx context.Context, sourceName string, q Query) (*ResultSet, error) {
-	return s.med.QuerySelectCtx(ctx, sourceName, q)
+// relevant possible answers (Section 4.2). Cancelling ctx aborts in-flight
+// source attempts and retry backoffs promptly.
+func (s *System) Query(ctx context.Context, sourceName string, q Query) (*ResultSet, error) {
+	return s.med.QuerySelectWithCtx(ctx, s.med.Config(), sourceName, q)
 }
 
 // QueryStream runs the QPIAD selection algorithm as a stream: certain
@@ -481,41 +475,41 @@ func (s *System) QueryCtx(ctx context.Context, sourceName string, q Query) (*Res
 // provably in hand, saving source queries and tuple transfer. Cancelling ctx
 // aborts the stream.
 func (s *System) QueryStream(ctx context.Context, sourceName string, q Query) (<-chan StreamEvent, error) {
-	return s.med.SelectStream(ctx, sourceName, q)
+	return s.med.SelectStreamWith(ctx, s.med.Config(), sourceName, q)
 }
 
 // QueryCorrelated answers a query whose constrained attribute the target
 // source does not support, using knowledge from a correlated source
 // (Section 4.3).
-func (s *System) QueryCorrelated(targetSource string, q Query) (*ResultSet, error) {
-	return s.med.QuerySelectCorrelated(targetSource, q)
+func (s *System) QueryCorrelated(ctx context.Context, targetSource string, q Query) (*ResultSet, error) {
+	return s.med.QuerySelectCorrelatedCtx(ctx, targetSource, q)
 }
 
 // QueryGlobal runs a selection on the mediator's global schema against
 // every registered source — directly where the source supports the query
 // and has learned knowledge, through correlated knowledge where it lacks
 // the constrained attribute — and merges the ranked possible answers.
-func (s *System) QueryGlobal(q Query) (*GlobalResult, error) {
-	return s.med.QuerySelectGlobal(q)
+func (s *System) QueryGlobal(ctx context.Context, q Query) (*GlobalResult, error) {
+	return s.med.QuerySelectGlobalCtx(ctx, q)
 }
 
 // QueryAggregate processes an aggregate query, optionally folding in
 // incomplete tuples via rewritten queries and predicted values
 // (Section 4.4).
-func (s *System) QueryAggregate(sourceName string, q Query, opts AggOptions) (*AggAnswer, error) {
-	return s.med.QueryAggregate(sourceName, q, opts)
+func (s *System) QueryAggregate(ctx context.Context, sourceName string, q Query, opts AggOptions) (*AggAnswer, error) {
+	return s.med.QueryAggregateWithCtx(ctx, s.med.Config(), sourceName, q, opts)
 }
 
 // QueryJoin processes a two-way join over incomplete sources via ranked
 // query pairs (Section 4.5).
-func (s *System) QueryJoin(spec JoinSpec) (*JoinResult, error) {
-	return s.med.QueryJoin(spec)
+func (s *System) QueryJoin(ctx context.Context, spec JoinSpec) (*JoinResult, error) {
+	return s.med.QueryJoinCtx(ctx, spec)
 }
 
 // QueryJoinChain processes an n-way chain join, planning each adjacency as
 // a Section 4.5 query-pair problem (the paper's footnote 5 extension).
-func (s *System) QueryJoinChain(spec ChainSpec) (*ChainResult, error) {
-	return s.med.QueryJoinChain(spec)
+func (s *System) QueryJoinChain(ctx context.Context, spec ChainSpec) (*ChainResult, error) {
+	return s.med.QueryJoinChainCtx(ctx, spec)
 }
 
 // Knowledge returns the mined knowledge of a source, if learned.

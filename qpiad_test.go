@@ -1,6 +1,7 @@
 package qpiad
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -26,7 +27,7 @@ func newSystem(t *testing.T, cfg Config) (*System, *Relation) {
 func TestSystemEndToEnd(t *testing.T) {
 	sys, ed := newSystem(t, Config{Alpha: 0, K: 10})
 	q := NewQuery("cars", Eq("body_style", String("Convt")))
-	rs, err := sys.Query("cars", q)
+	rs, err := sys.Query(context.Background(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +55,11 @@ func TestSystemAggregate(t *testing.T) {
 	sys, _ := newSystem(t, Config{Alpha: 1, K: -1})
 	q := NewQuery("cars", Eq("body_style", String("Convt")))
 	q.Agg = &Aggregate{Func: AggCount}
-	plain, err := sys.QueryAggregate("cars", q, AggOptions{})
+	plain, err := sys.QueryAggregate(context.Background(), "cars", q, AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := sys.QueryAggregate("cars", q, AggOptions{IncludePossible: true, PredictMissing: true})
+	pred, err := sys.QueryAggregate(context.Background(), "cars", q, AggOptions{IncludePossible: true, PredictMissing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,12 @@ func TestSystemValidation(t *testing.T) {
 	if err := sys.LearnFromSample("nope", gd, 0); err == nil {
 		t.Error("learning an unknown source should error")
 	}
-	if _, err := sys.Query("cars", NewQuery("cars")); err == nil {
+	for _, ratio := range []float64{0, 2} {
+		if err := sys.LearnFromSample("cars", nil, ratio); err == nil {
+			t.Errorf("learning from a nil sample (ratio %v) should error", ratio)
+		}
+	}
+	if _, err := sys.Query(context.Background(), "cars", NewQuery("cars")); err == nil {
 		t.Error("querying an unlearned source should error")
 	}
 }
@@ -98,7 +104,7 @@ func TestSystemLearnByProbing(t *testing.T) {
 	for _, m := range datagen.CarModels {
 		seeds["model"] = append(seeds["model"], String(m.Model))
 	}
-	err := sys.LearnByProbing("cars", ProbeConfig{
+	err := sys.LearnByProbing(context.Background(), "cars", ProbeConfig{
 		TargetSize: 300,
 		ProbeAttrs: []string{"model", "make"},
 		Seeds:      seeds,
@@ -106,7 +112,7 @@ func TestSystemLearnByProbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sys.Query("cars", NewQuery("cars", Eq("body_style", String("Sedan"))))
+	rs, err := sys.Query(context.Background(), "cars", NewQuery("cars", Eq("body_style", String("Sedan"))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +151,11 @@ func TestSystemKnowledgePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewQuery("cars", Eq("body_style", String("Convt")))
-	rs1, err := sys.Query("cars", q)
+	rs1, err := sys.Query(context.Background(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs2, err := sys2.Query("cars", q)
+	rs2, err := sys2.Query(context.Background(), "cars", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestSystemParseSQLIntegration(t *testing.T) {
 	if err := st.CoerceTypes(ed.Schema); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sys.Query("cars", st.Query)
+	rs, err := sys.Query(context.Background(), "cars", st.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
